@@ -39,17 +39,27 @@ def closed_subsets(poset: RotationPoset) -> Iterator[frozenset]:
     """All down-closed rotation sets, depth-first with ascending indices."""
     preds = poset.predecessors()
     n = len(poset.rotations)
-    chosen: set[int] = set()
 
-    def extend(start: int) -> Iterator[frozenset]:
-        yield frozenset(chosen)
-        for i in range(start, n):
-            if preds[i] <= chosen:
+    def walk() -> Iterator[frozenset]:
+        chosen: set[int] = set()
+        added: list[int] = []  # the members of ``chosen`` in the order taken
+        yield frozenset()
+        i = 0  # next rotation to try on top of ``chosen``
+        while True:
+            while i < n and not preds[i] <= chosen:
+                i += 1
+            if i < n:
                 chosen.add(i)
-                yield from extend(i + 1)
+                added.append(i)
+                yield frozenset(chosen)
+            elif added:
+                i = added.pop()
                 chosen.discard(i)
+            else:
+                return
+            i += 1
 
-    return extend(0)
+    return walk()
 
 
 def build_poset(inst: Instance):
@@ -185,7 +195,7 @@ class _Dinic:
                 return total
             cursor = [0] * self.n
             while True:
-                pushed = self._push(s, t, None, level, cursor)
+                pushed = self._push(s, t, level, cursor)
                 if not pushed:
                     break
                 total += pushed
@@ -202,19 +212,34 @@ class _Dinic:
                     queue.append(v)
         return level
 
-    def _push(self, u, t, limit, level, cursor):
-        if u == t:
-            return limit
-        while cursor[u] < len(self.adj[u]):
-            v, cap, rev = self.adj[u][cursor[u]]
-            if cap > 0 and level[v] == level[u] + 1:
-                pushed = self._push(v, t, cap if limit is None else min(limit, cap), level, cursor)
-                if pushed:
-                    self.adj[u][cursor[u]][1] -= pushed
-                    self.adj[v][rev][1] += pushed
-                    return pushed
-            cursor[u] += 1
-        return 0
+    def _push(self, s, t, level, cursor) -> int:
+        """Push flow along one augmenting path of the level graph; 0 if none.
+
+        Depth-first over the current arcs, kept as an explicit path so that
+        long precedence chains cannot exhaust the interpreter's stack.
+        """
+        path: list[tuple[int, list[int]]] = []  # (tail, arc) from s onward
+        u = s
+        while u != t:
+            arcs = self.adj[u]
+            while cursor[u] < len(arcs):
+                v, cap, _ = arcs[cursor[u]]
+                if cap > 0 and level[v] == level[u] + 1:
+                    path.append((u, arcs[cursor[u]]))
+                    u = v
+                    break
+                cursor[u] += 1
+            else:
+                # dead end: retire the arc that led here
+                if not path:
+                    return 0
+                u = path.pop()[0]
+                cursor[u] += 1
+        pushed = min(arc[1] for _, arc in path)
+        for _, arc in path:
+            arc[1] -= pushed
+            self.adj[arc[0]][arc[2]][1] += pushed
+        return pushed
 
     def reachable(self, s: int) -> set[int]:
         seen = {s}

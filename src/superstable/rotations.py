@@ -55,7 +55,8 @@ def maximal_sequence(inst: Instance) -> list[frozenset]:
     if first is None:
         return []
     last = optimal_super_stable(inst, WOMEN)
-    assert last is not None
+    if last is None:
+        raise RuntimeError("woman-optimal solve failed after the man-optimal one succeeded")
     if first == last:
         return [first]
     return [first] + _Chain(inst, first, last).run()
@@ -167,9 +168,20 @@ class _Chain(object):
     everything else man-to-woman), a candidate set holding each man's best
     viable next partner(s), and the untried remainder of every man's list.
     A man may only extend his reach while the strongly connected component
-    he sits in has no arc leaving it; once a component with no outgoing arc
+    he sits in has no traversed arc leaving it; once such a component
     carries a perfect candidate matching, swapping it in yields the next
     matching of the chain.
+
+    The components and their counts of leaving traversed arcs are kept up
+    to date locally, never recomputed over the whole graph.  An arc m -> w
+    from m's component C either stays inside C (nothing changes), or
+    leaves for a vertex that cannot reach C (C gains one leaving arc), or
+    closes cycles: a search from w finds every vertex on a path back into
+    C, and their components merge into C.  A fired rotation strips every
+    traversed arc at its component's vertices, which leaves each of them a
+    component of its own.  ``rebuilds`` counts the vertex sets whose
+    components were set from scratch: the whole graph once, then each
+    fired rotation's component.
     """
 
     def __init__(self, inst: Instance, first, last):
@@ -196,7 +208,9 @@ class _Chain(object):
             if w is not None and w == self.last_m[m]:
                 self.cand_m[m].add(w)
                 self.cand_w[w].add(m)
-        self.trav: set[tuple[int, int]] = set()
+        # traversed arcs, from both ends
+        self.trav_m: list[set[int]] = [set() for _ in range(nm)]
+        self.trav_w: list[set[int]] = [set() for _ in range(nw)]
         # the untried pool: the woman strictly below the man's current
         # partner, the man weakly above hers.  Ties with the woman's partner
         # stay in: they never become candidates, but traversing them welds
@@ -220,38 +234,81 @@ class _Chain(object):
                     continue
                 self.pool_m[m][r - 1].add(w)
                 self.pool_w[w].add(m)
-        self._dirty = True
-        self._comp: list[int] = []
-        self._outdeg: dict[int, int] = {}
+        # vertices: men 0..nm-1, then women.  A component is named after one
+        # of its vertices.  With nothing traversed the only arcs are
+        # woman-to-partner ones, so every vertex stands alone.
+        nv = nm + nw
+        self._comp: list[int] = list(range(nv))
+        self._members: dict[int, list[int]] = {v: [v] for v in range(nv)}
+        self._outdeg: dict[int, int] = dict.fromkeys(range(nv), 0)
+        self.rebuilds = 1
 
     # -- component bookkeeping
 
     def _vert(self, w: int) -> int:
         return self.nm + w
 
-    def _refresh(self) -> None:
-        if not self._dirty:
-            return
-        nv = self.nm + self.nw
-        adj: list[list[int]] = [[] for _ in range(nv)]
-        for m, w in sorted(self.trav):
-            adj[m].append(self._vert(w))
-        for w, m in enumerate(self.match_w):
-            if m is not None:
-                adj[self._vert(w)].append(m)
-        self._comp = _strongly_connected(nv, adj)
-        outdeg: dict[int, int] = {}
-        for m, w in self.trav:
-            a, b = self._comp[m], self._comp[self._vert(w)]
-            if a != b:
-                outdeg[a] = outdeg.get(a, 0) + 1
-        self._outdeg = outdeg
-        self._dirty = False
-
     def _open(self, v: int) -> bool:
-        """True when v's component has no arc leaving it."""
-        self._refresh()
-        return self._outdeg.get(self._comp[v], 0) == 0
+        """True when v's component has no traversed arc leaving it."""
+        return self._outdeg[self._comp[v]] == 0
+
+    def _add_arc(self, m: int, w: int) -> None:
+        self.trav_m[m].add(w)
+        self.trav_w[w].add(m)
+        comp = self._comp
+        cid = comp[m]
+        if comp[self._vert(w)] == cid:
+            return
+        closing = self._reaching(self._vert(w), cid)
+        if not closing:
+            self._outdeg[cid] += 1
+            return
+        # the component's own leaving arcs end at vertices that cannot reach
+        # it, so none of them turns internal; merged vertices bring theirs
+        for old in {comp[v] for v in closing}:
+            del self._members[old], self._outdeg[old]
+        for v in closing:
+            comp[v] = cid
+        self._members[cid].extend(closing)
+        self._outdeg[cid] += sum(
+            1
+            for v in closing
+            if v < self.nm
+            for x in self.trav_m[v]
+            if comp[self._vert(x)] != cid
+        )
+
+    def _reaching(self, start: int, cid: int) -> set[int]:
+        """Vertices outside component ``cid`` on a path from ``start`` into it."""
+        comp, outdeg, nm = self._comp, self._outdeg, self.nm
+        preds: dict[int, list[int]] = {start: []}
+        found: set[int] = set()
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            if v < nm:
+                succ = [nm + x for x in self.trav_m[v]]
+            else:
+                held = self.match_w[v - nm]
+                succ = [] if held is None else [held]
+            for u in succ:
+                if comp[u] == cid:
+                    found.add(v)
+                elif u in preds:
+                    preds[u].append(v)
+                else:
+                    preds[u] = [v]
+                    # a man's component without leaving traversed arcs has
+                    # no arcs out at all: its women's partners are inside it
+                    if u >= nm or outdeg[comp[u]] != 0:
+                        stack.append(u)
+        stack = list(found)
+        while stack:
+            for u in preds[stack.pop()]:
+                if u not in found:
+                    found.add(u)
+                    stack.append(u)
+        return found
 
     # -- pools
 
@@ -266,11 +323,6 @@ class _Chain(object):
     def _pool_discard(self, m: int, w: int) -> None:
         self.pool_m[m][self.mrank[m][w] - 1].discard(w)
         self.pool_w[w].discard(m)
-
-    def _trav_discard(self, m: int, w: int) -> None:
-        if (m, w) in self.trav:
-            self.trav.discard((m, w))
-            self._dirty = True
 
     def _cand_discard(self, m: int, w: int) -> None:
         # the traversed arc stays: dropped candidates still tie their
@@ -292,9 +344,8 @@ class _Chain(object):
                 raise RuntimeError("untried pool lost its improvement invariant")
         acted = False
         for w in women:
-            if (m, w) not in self.trav:
-                self.trav.add((m, w))
-                self._dirty = True
+            if w not in self.trav_m[m]:
+                self._add_arc(m, w)
                 acted = True
         if self._open(m):
             eligible = [
@@ -336,14 +387,14 @@ class _Chain(object):
     def _drop_tied_candidates(self) -> bool:
         """A woman holding tied candidates in a closed component loses that
         whole rank, candidates and untried edges alike."""
-        self._refresh()
         for w in range(self.nw):
             if len(self.cand_w[w]) < 2:
                 continue
-            if self._outdeg.get(self._comp[self._vert(w)], 0) != 0:
+            if not self._open(self._vert(w)):
                 continue
             ranks = {self.wrank[w][m] for m in self.cand_w[w]}
-            assert len(ranks) == 1, "surviving candidates of one woman must be tied"
+            if len(ranks) != 1:
+                raise RuntimeError("surviving candidates of one woman are not tied")
             rank = ranks.pop()
             for m in sorted(self.cand_w[w]):
                 self._cand_discard(m, w)
@@ -385,14 +436,10 @@ class _Chain(object):
         return removed, added
 
     def _rotate_once(self, outputs: list) -> bool:
-        self._refresh()
-        members: dict[int, list[int]] = {}
-        for v in range(self.nm + self.nw):
-            members.setdefault(self._comp[v], []).append(v)
-        for cid in sorted(members, key=lambda c: min(members[c])):
+        members = self._members
+        ready = [c for c, g in members.items() if len(g) > 1 and self._outdeg[c] == 0]
+        for cid in sorted(ready, key=lambda c: min(members[c])):
             group = members[cid]
-            if len(group) < 2 or self._outdeg.get(cid, 0) != 0:
-                continue
             plan = self._rotation_plan(cid, group)
             if plan is None:
                 continue
@@ -413,10 +460,25 @@ class _Chain(object):
                 stale.update((m, w) for m in self.cand_w[w])
             for m, w in stale:
                 self._cand_discard(m, w)
-            for m, w in [
-                e for e in self.trav if e[0] in group_men or e[1] in group_women
-            ]:
-                self._trav_discard(m, w)
+            # the group was open, so its men's arcs stay inside it; arcs into
+            # its women from outside leave their own components
+            for m in group_men:
+                for w in self.trav_m[m]:
+                    self.trav_w[w].discard(m)
+                self.trav_m[m].clear()
+            for w in group_women:
+                for m in self.trav_w[w]:
+                    self.trav_m[m].discard(w)
+                    self._outdeg[self._comp[m]] -= 1
+                self.trav_w[w].clear()
+            # with no traversed arc left at the group and each woman pointing
+            # only at her new partner, every vertex of it stands alone
+            del members[cid], self._outdeg[cid]
+            for v in group:
+                self._comp[v] = v
+                members[v] = [v]
+                self._outdeg[v] = 0
+            self.rebuilds += 1
             # keep the untried pool aligned with the new partners: drop what
             # the man weakly prefers to his partner and every man the woman
             # now strictly prefers her partner to
@@ -434,7 +496,6 @@ class _Chain(object):
                 if w is not None and w == self.last_m[m]:
                     self.cand_m[m].add(w)
                     self.cand_w[w].add(m)
-            self._dirty = True
             return True
         return False
 
@@ -459,50 +520,3 @@ class _Chain(object):
             if not acted:
                 raise RuntimeError("successor search stalled (internal error)")
 
-
-def _strongly_connected(nv: int, adj: list[list[int]]) -> list[int]:
-    """Tarjan, iterative; returns the component id of every vertex."""
-    comp = [-1] * nv
-    index = [-1] * nv
-    low = [0] * nv
-    on_stack = [False] * nv
-    stack: list[int] = []
-    counter = 0
-    ncomp = 0
-    for root in range(nv):
-        if index[root] != -1:
-            continue
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            v, pos = work[-1]
-            if pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            while pos < len(adj[v]):
-                u = adj[v][pos]
-                pos += 1
-                if index[u] == -1:
-                    work[-1][1] = pos
-                    work.append([u, 0])
-                    descended = True
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp[u] = ncomp
-                    if u == v:
-                        break
-                ncomp += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comp

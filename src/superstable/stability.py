@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .instance import Instance, MEN, WOMEN, swap_sides, transpose_pairs
+from .instance import Instance, MEN, WOMEN
 
 SUPER = "super"
 STRONG = "strong"
@@ -85,15 +85,13 @@ def optimal_super_stable(inst: Instance, side: str = MEN):
     """The side-optimal super-stable matching, or None if there is none.
 
     For ``side="men"`` the result weakly improves on every super-stable
-    matching from the men's viewpoint; the woman side is handled by swapping
-    the roles of the two sides.  None is a valid answer, not an error.
+    matching from the men's viewpoint, for ``side="women"`` from the
+    women's; the chosen side proposes.  None is a valid answer, not an
+    error.
     """
-    if side == WOMEN:
-        result = optimal_super_stable(swap_sides(inst), MEN)
-        return None if result is None else transpose_pairs(result)
-    if side != MEN:
+    if side not in (MEN, WOMEN):
         raise ValueError(f"unknown side {side!r}")
-    candidate = _propose_and_delete(inst)
+    candidate = _propose_and_delete(inst, side)
     if candidate is None:
         return None
     # belt and braces: re-verify against the original instance
@@ -102,87 +100,94 @@ def optimal_super_stable(inst: Instance, side: str = MEN):
     return candidate
 
 
-def _propose_and_delete(inst: Instance):
+def _propose_and_delete(inst: Instance, side: str):
     """Extended proposal/deletion rounds; returns the engagement matching or None.
 
-    Men propose to their entire head tier.  A proposed-to woman deletes all
-    pairs strictly worse than the proposer; a woman left holding proposals
-    from tied men has that whole tie tier deleted.  Runs until proposals
-    stabilize, then the engagements must form a matching.
+    Agents of ``side`` propose to their entire head tier.  A proposed-to
+    agent deletes all pairs strictly worse than the proposer; one left
+    holding proposals from tied agents has that whole tie tier deleted.
+    Runs until proposals stabilize, then the engagements must form a
+    matching, returned as (man, woman) pairs.
     """
-    n_men, n_women = len(inst.men), len(inst.women)
-    man_tiers = inst._man_tiers
-    woman_tiers = inst._woman_tiers
-    woman_rank = inst._woman_rank
-    alive_m = [set(r) for r in inst._man_rank]
-    alive_w = [set(r) for r in woman_rank]
-    head = [0] * n_men
-    bottom = [len(t) - 1 for t in woman_tiers]
-    eng_m: list[set[int]] = [set() for _ in range(n_men)]
-    eng_w: list[set[int]] = [set() for _ in range(n_women)]
-    queue = deque(range(n_men))
+    if side == MEN:
+        prop_tiers, recv_tiers = inst._man_tiers, inst._woman_tiers
+        prop_rank, recv_rank = inst._man_rank, inst._woman_rank
+    else:
+        prop_tiers, recv_tiers = inst._woman_tiers, inst._man_tiers
+        prop_rank, recv_rank = inst._woman_rank, inst._man_rank
+    n_prop, n_recv = len(prop_tiers), len(recv_tiers)
+    alive_p = [set(r) for r in prop_rank]
+    alive_r = [set(r) for r in recv_rank]
+    head = [0] * n_prop
+    bottom = [len(t) - 1 for t in recv_tiers]
+    eng_p: list[set[int]] = [set() for _ in range(n_prop)]
+    eng_r: list[set[int]] = [set() for _ in range(n_recv)]
+    queue = deque(range(n_prop))
 
-    def delete_pair(m: int, w: int) -> None:
-        alive_m[m].discard(w)
-        alive_w[w].discard(m)
-        if w in eng_m[m]:
-            eng_m[m].discard(w)
-            eng_w[w].discard(m)
-            if not eng_m[m]:
-                queue.append(m)
+    def delete_pair(p: int, r: int) -> None:
+        alive_p[p].discard(r)
+        alive_r[r].discard(p)
+        if r in eng_p[p]:
+            eng_p[p].discard(r)
+            eng_r[r].discard(p)
+            if not eng_p[p]:
+                queue.append(p)
 
-    def delete_tier(w: int, tier_index: int) -> None:
-        for m in list(woman_tiers[w][tier_index]):
-            if m in alive_w[w]:
-                delete_pair(m, w)
+    def delete_tier(r: int, tier_index: int) -> None:
+        for p in list(recv_tiers[r][tier_index]):
+            if p in alive_r[r]:
+                delete_pair(p, r)
 
     while True:
         while queue:
-            m = queue.popleft()
-            if eng_m[m]:
+            p = queue.popleft()
+            if eng_p[p]:
                 continue
-            while head[m] < len(man_tiers[m]):
-                if any(w in alive_m[m] for w in man_tiers[m][head[m]]):
+            while head[p] < len(prop_tiers[p]):
+                if any(r in alive_p[p] for r in prop_tiers[p][head[p]]):
                     break
-                head[m] += 1
+                head[p] += 1
             else:
                 continue
-            for w in man_tiers[m][head[m]]:
-                if w not in alive_m[m]:
+            for r in prop_tiers[p][head[p]]:
+                if r not in alive_p[p]:
                     continue
-                eng_m[m].add(w)
-                eng_w[w].add(m)
-                rank = woman_rank[w][m]
-                # drop everything w likes strictly less than m
+                eng_p[p].add(r)
+                eng_r[r].add(p)
+                rank = recv_rank[r][p]
+                # drop everything r likes strictly less than p
                 # (0-based tier index >= rank means 1-based rank > rank)
-                while bottom[w] >= rank:
-                    delete_tier(w, bottom[w])
-                    bottom[w] -= 1
-                while bottom[w] >= 0 and not any(
-                    x in alive_w[w] for x in woman_tiers[w][bottom[w]]
+                while bottom[r] >= rank:
+                    delete_tier(r, bottom[r])
+                    bottom[r] -= 1
+                while bottom[r] >= 0 and not any(
+                    x in alive_r[r] for x in recv_tiers[r][bottom[r]]
                 ):
-                    bottom[w] -= 1
+                    bottom[r] -= 1
         resolved = True
-        for w in range(n_women):
-            if len(eng_w[w]) < 2:
+        for r in range(n_recv):
+            if len(eng_r[r]) < 2:
                 continue
             resolved = False
-            ranks = {woman_rank[w][m] for m in eng_w[w]}
-            assert len(ranks) == 1, "engagements of one woman must be tied"
-            delete_tier(w, ranks.pop() - 1)
-            while bottom[w] >= 0 and not any(
-                x in alive_w[w] for x in woman_tiers[w][bottom[w]]
+            ranks = {recv_rank[r][p] for p in eng_r[r]}
+            if len(ranks) != 1:
+                raise RuntimeError("engagements of one agent are not tied (internal error)")
+            delete_tier(r, ranks.pop() - 1)
+            while bottom[r] >= 0 and not any(
+                x in alive_r[r] for x in recv_tiers[r][bottom[r]]
             ):
-                bottom[w] -= 1
+                bottom[r] -= 1
         if resolved:
             break
 
+    proposers, receivers = (inst.men, inst.women) if side == MEN else (inst.women, inst.men)
     pairs = []
-    for m in range(n_men):
-        if len(eng_m[m]) > 1:
+    for p in range(n_prop):
+        if len(eng_p[p]) > 1:
             return None
-        if eng_m[m]:
-            pairs.append((inst.men[m], inst.women[next(iter(eng_m[m]))]))
+        if eng_p[p]:
+            pair = (proposers[p], receivers[next(iter(eng_p[p]))])
+            pairs.append(pair if side == MEN else pair[::-1])
     return frozenset(pairs)
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from superstable import (
     SUPER,
+    Rotation,
+    RotationPoset,
     blocking_edges,
     build_poset,
     closed_subsets,
@@ -15,6 +17,7 @@ from superstable import (
     max_weight,
     random_instance,
 )
+from superstable.lattice import _best_closure
 from superstable.oracle import brute_stable_set
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
@@ -134,3 +137,22 @@ def test_max_weight_matches_oracle_sweep():
         assert total == best, k
         assert matching in set(stable), k
         assert sum((weights[e] for e in matching), Fraction(0)) == best, k
+
+
+def _long_chain(n):
+    """A poset of n rotations in one precedence chain."""
+    rotations = tuple(Rotation(i, frozenset(), frozenset()) for i in range(n))
+    return RotationPoset(rotations, frozenset((i, i + 1) for i in range(n - 1)))
+
+
+def test_long_chain_min_cut():
+    # only the last rotation pays, and it needs every other one first
+    poset = _long_chain(1500)
+    chosen = _best_closure([Fraction(-1)] * 1499 + [Fraction(1505)], poset.arcs)
+    assert chosen == set(range(1500))
+
+
+def test_long_chain_closed_subsets():
+    subsets = list(closed_subsets(_long_chain(1500)))
+    assert len(subsets) == 1501
+    assert subsets[-1] == frozenset(range(1500))

@@ -1,13 +1,17 @@
 import pytest
 
 from superstable import (
+    MEN,
+    WOMEN,
     dominates,
     maximal_sequence,
+    optimal_super_stable,
     precedence_digraph,
     random_instance,
     rotations_of,
 )
-from superstable.oracle import brute_stable_set
+from superstable import rotations
+from superstable.oracle import brute_stable_set, has_blocking_edge
 from conftest import man_optimal_of, oracle_chain
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
@@ -163,3 +167,107 @@ def test_digraph_acyclic_sweep():
         # arcs agree with discovery order, so the digraph is acyclic
         for i, j in poset.arcs:
             assert 0 <= i < j < len(rots)
+
+
+def test_woman_side_failure_raises(i1, monkeypatch):
+    def men_only(inst, side=MEN):
+        return optimal_super_stable(inst, MEN) if side == MEN else None
+
+    monkeypatch.setattr(rotations, "optimal_super_stable", men_only)
+    with pytest.raises(RuntimeError, match="woman-optimal"):
+        maximal_sequence(i1)
+
+
+def test_chain_at_scale_sweep():
+    # beyond brute force: the chain must join the two independent solves
+    # through super-stable matchings the definition-level oracle accepts
+    for k in range(4):
+        n = 100 + 50 * (k % 2)
+        inst = random_instance(n, n, 0.3, 0.0, seed=44_000 + k)
+        chain = maximal_sequence(inst)
+        assert chain[0] == optimal_super_stable(inst, MEN), k
+        assert chain[-1] == optimal_super_stable(inst, WOMEN), k
+        assert len(chain) > 2, k
+        for matching in chain:
+            assert not has_blocking_edge(inst, matching, "super"), k
+        assert all(chain[i - 1] != chain[i] for i in range(1, len(chain))), k
+        precedence_digraph(inst, chain[0], rotations_of(chain))
+
+
+def _chain_of(inst, chain_class=rotations._Chain):
+    first = optimal_super_stable(inst, MEN)
+    last = optimal_super_stable(inst, WOMEN)
+    chain = chain_class(inst, first, last)
+    return chain, [first] + chain.run()
+
+
+def test_chain_rebuilds_stay_per_rotation():
+    # recomputing components after every traversed arc costs about 13
+    # rebuilds per rotation here; local upkeep needs one per rotation
+    inst = random_instance(200, 200, 0.5, 0.0, seed=45_200)
+    chain, sequence = _chain_of(inst)
+    fired = len(sequence) - 1
+    assert fired > 10
+    assert chain.rebuilds <= 3 * fired
+
+
+def _components_from_scratch(chain):
+    """Each strongly connected block, by plain reachability, mapped to its
+    number of leaving traversed arcs."""
+    nm = chain.nm
+    nv = nm + chain.nw
+    succ = [[nm + w for w in chain.trav_m[v]] for v in range(nm)]
+    succ += [[] if m is None else [m] for m in chain.match_w]
+    reach = []
+    for v in range(nv):
+        seen = {v}
+        stack = [v]
+        while stack:
+            for u in succ[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        reach.append(seen)
+    block = {v: frozenset(u for u in reach[v] if v in reach[u]) for v in range(nv)}
+    leaving = dict.fromkeys(block.values(), 0)
+    for m in range(nm):
+        for u in succ[m]:
+            if u not in block[m]:
+                leaving[block[m]] += 1
+    return leaving
+
+
+class _CheckedChain(rotations._Chain):
+    """Compares the locally kept components with a recomputation at every step."""
+
+    def _check(self):
+        blocks: dict[int, set] = {}
+        for v, cid in enumerate(self._comp):
+            blocks.setdefault(cid, set()).add(v)
+        assert {c: set(g) for c, g in self._members.items()} == blocks
+        mine = {frozenset(g): self._outdeg[c] for c, g in blocks.items()}
+        assert mine == _components_from_scratch(self)
+
+    def _add_arc(self, m, w):
+        super()._add_arc(m, w)
+        self._check()
+
+    def _rotate_once(self, outputs):
+        fired = super()._rotate_once(outputs)
+        self._check()
+        return fired
+
+
+def test_local_components_match_recomputation_sweep():
+    checked = 0
+    for k in range(80):
+        n = 4 + (k % 9)
+        ties = (0.0, 0.1, 0.3)[k % 3]
+        inst = random_instance(n, n, 0.8, ties, seed=45_000 + k)
+        sequence = maximal_sequence(inst)
+        if len(sequence) < 2:
+            continue
+        checked += 1
+        _, replayed = _chain_of(inst, _CheckedChain)
+        assert replayed == sequence, k
+    assert checked >= 20

@@ -94,7 +94,14 @@ def test_solver_equivalence_sweep():
 
 
 def test_side_symmetry_sweep():
-    for k, inst in sweep(60):
+    # the woman side proposes on the instance itself; solving the rebuilt
+    # swapped instance for the men is the independent route
+    pool = list(sweep(60))
+    for k in range(24):
+        n = 30 + 10 * (k % 6)
+        ties = (0.0, 0.02, 0.1)[k % 3]
+        pool.append((100 + k, random_instance(n, n, 0.5, ties, seed=43_000 + k)))
+    for k, inst in pool:
         woman_side = optimal_super_stable(inst, WOMEN)
         swapped = optimal_super_stable(swap_sides(inst), MEN)
         if woman_side is None:
