@@ -42,6 +42,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="superstable",
@@ -56,7 +63,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="stream every super-stable matching")
     p.add_argument("file")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_count, default=None)
 
     p = sub.add_parser("rotations", help="maximal chain, rotations, precedence arcs")
     p.add_argument("file")
@@ -309,10 +316,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except _InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (_InputError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

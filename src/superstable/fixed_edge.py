@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import Instance, MEN
+from .instance import Instance
+from .lattice import build_poset, matching_of
 from .stability import (
     NoSuperStableMatching,
     blocking_edges,
-    optimal_super_stable,
     partner_maps,
     validate_matching,
     SUPER,
@@ -23,7 +23,8 @@ def reduce_for_edge(inst: Instance, edge) -> Instance:
     woman weakly prefers to her fixed partner loses every pair he does not
     strictly prefer to her, and symmetrically for women the man weakly
     prefers.  Surviving lists keep their tier order, with emptied tiers
-    dropped.
+    dropped.  Solving this and re-attaching the edge is the paper's route to
+    fixed-edge optima, kept as the reference the tests check the poset against.
     """
     m0, w0 = edge
     if not inst.is_edge(m0, w0):
@@ -65,23 +66,33 @@ def reduce_for_edge(inst: Instance, edge) -> Instance:
     return Instance(men, women, prefs)
 
 
+def _edge_optima(inst: Instance):
+    """Each edge of some super-stable matching -> the man-optimal one through
+    it: the top matching, or the one after the down-closure of the rotation
+    that adds the edge.  None when infeasible."""
+    built = build_poset(inst)
+    if built is None:
+        return None
+    first, poset = built
+    optima = dict.fromkeys(first, first)
+    closures: list[set[int]] = []  # discovery order is a linear extension
+    for rot, preds in zip(poset.rotations, poset.predecessors()):
+        closures.append({rot.index}.union(*(closures[i] for i in preds)))
+        found = matching_of(first, poset.rotations, closures[-1])
+        optima.update(dict.fromkeys(rot.added, found))
+    return optima
+
+
 def optimal_with_edge(inst: Instance, edge):
     """Man-optimal super-stable matching containing ``edge``, or None.
 
-    Solves the reduced instance and re-attaches the edge; if the combined
-    matching is blocked in the original instance, no super-stable matching
-    contains the edge at all.
+    Read off the rotation poset: the top matching if it holds the edge, else
+    the one after the down-closure of the rotation that adds it, if any.
     """
     m0, w0 = edge
     if not inst.is_edge(m0, w0):
         raise ValueError(f"({m0!r}, {w0!r}) is not an edge")
-    inner = optimal_super_stable(reduce_for_edge(inst, edge), MEN)
-    if inner is None:
-        return None
-    candidate = inner | {(m0, w0)}
-    if blocking_edges(inst, candidate, SUPER):
-        return None
-    return candidate
+    return (_edge_optima(inst) or {}).get((m0, w0))
 
 
 def p_set(inst: Instance, matching) -> frozenset:
@@ -131,27 +142,19 @@ class IrreduciblePoset:
 def irreducible_poset(inst: Instance) -> IrreduciblePoset:
     """One element per distinct optimal_with_edge matching, all witnesses kept.
 
-    Raises NoSuperStableMatching when the instance is infeasible.
+    Elements (the top matching and one per rotation) follow their first
+    witness in ``inst.edges``.  Raises NoSuperStableMatching when infeasible.
     """
-    if optimal_super_stable(inst, MEN) is None:
+    optima = _edge_optima(inst)
+    if optima is None:
         raise NoSuperStableMatching("instance admits no super-stable matching")
-    index_of: dict[frozenset, int] = {}
-    matchings: list[frozenset] = []
-    witnesses: list[list[tuple[str, str]]] = []
+    witnesses: dict[frozenset, list[tuple[str, str]]] = {}
     for edge in inst.edges:
-        found = optimal_with_edge(inst, edge)
-        if found is None:
-            continue
-        at = index_of.get(found)
-        if at is None:
-            at = len(matchings)
-            index_of[found] = at
-            matchings.append(found)
-            witnesses.append([])
-        witnesses[at].append(edge)
+        if edge in optima:
+            witnesses.setdefault(optima[edge], []).append(edge)
     elements = tuple(
         IrreducibleElement(matching, tuple(wit), p_set(inst, matching))
-        for matching, wit in zip(matchings, witnesses)
+        for matching, wit in witnesses.items()
     )
     order = frozenset(
         (i, j)

@@ -10,9 +10,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .instance import Instance, parse_edge_values
-
-SUPER = "super"
-STRONG = "strong"
+from .stability import STRONG, SUPER
 
 
 class Violation(NamedTuple):

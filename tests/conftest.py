@@ -1,6 +1,14 @@
 import pytest
 
-from superstable import dominates, parse_instance
+from superstable import (
+    MEN,
+    SUPER,
+    blocking_edges,
+    dominates,
+    optimal_super_stable,
+    parse_instance,
+    reduce_for_edge,
+)
 
 I1_TEXT = """\
 # strict 2x2
@@ -70,6 +78,18 @@ def man_optimal_of(inst, stable):
         if all(dominates(inst, m, other) for other in stable):
             return m
     return None
+
+
+def per_edge_optimum(inst, edge):
+    """Man-optimal super-stable matching through ``edge`` by the paper's edge
+    reduction, independent of the rotation poset: solve the reduced instance
+    and re-attach the edge; a blocked result means no super-stable matching
+    contains the edge."""
+    inner = optimal_super_stable(reduce_for_edge(inst, edge), MEN)
+    if inner is None:
+        return None
+    candidate = inner | {tuple(edge)}
+    return None if blocking_edges(inst, candidate, SUPER) else candidate
 
 
 def oracle_chain(inst, stable):

@@ -240,6 +240,8 @@ def test_exit_codes(capsys, tmp_path, i1_file):
     assert code == 1 and err
     code, _, err = run(capsys)
     assert code == 1
+    code, out, err = run(capsys, "enumerate", i1_file, "--limit", "-3")
+    assert code == 1 and "--limit" in err and not out
     code, _, err = run(capsys, "solve", str(tmp_path / "missing.txt"))
     assert code == 2 and "missing.txt" in err
     bad = tmp_path / "bad.txt"

@@ -1,16 +1,22 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superstable import (
     Instance,
     NoSuperStableMatching,
+    build_poset,
     irreducible_poset,
+    optimal_super_stable,
     optimal_with_edge,
     p_set,
     random_instance,
     reduce_for_edge,
+    serialize_instance,
 )
 from superstable.oracle import brute_stable_set, has_blocking_edge
-from conftest import man_optimal_of
+from conftest import man_optimal_of, per_edge_optimum
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
 MZ_I1 = frozenset({("a", "y"), ("b", "x")})
@@ -72,6 +78,9 @@ def test_irreducible_examples(i1, i3):
 
     poset = irreducible_poset(SINGLE_EDGE)
     assert len(poset.elements) == 1 and poset.order == frozenset()
+
+    poset = irreducible_poset(Instance(["a"], ["x"], {}))
+    assert poset.elements == () and poset.order == frozenset()
 
 
 def test_irreducible_requires_feasibility(i2):
@@ -145,3 +154,114 @@ def test_downset_unions_generate_psets_sweep():
         assert generated == psets, k
         assert sum(1 for s in downsets(poset.order, len(poset.elements)) if s) == len(stable), k
     assert feasible > 20
+
+
+def family_of(inst, optima):
+    """(matching, witnesses, P-set) per distinct optimum in ``optima`` (edge ->
+    matching or None), in first-witness order, and the P-set containment order."""
+    witnesses = {}
+    for edge, found in optima.items():
+        if found is not None:
+            witnesses.setdefault(found, []).append(edge)
+    elements = [(m, tuple(wit), p_set(inst, m)) for m, wit in witnesses.items()]
+    order = {
+        (i, j)
+        for i, a in enumerate(elements)
+        for j, b in enumerate(elements)
+        if a[2] < b[2]
+    }
+    return elements, order
+
+
+def block_union(seed, n, tie_prob):
+    """Disjoint union of feasible complete random 5 x 5 blocks, n agents a
+    side: rotations of different blocks are unordered, so the rotation poset
+    is far from a chain, which random instances rarely are."""
+    men, women, prefs = [], [], {}
+    while len(men) < n:
+        seed += 1
+        block = random_instance(5, 5, 1.0, tie_prob, seed=seed)
+        if optimal_super_stable(block) is None:
+            continue
+        tag = f"_{len(men) // 5}"
+        men += [m + tag for m in block.men]
+        women += [w + tag for w in block.women]
+        for agent, tiers in block.prefs.items():
+            prefs[agent + tag] = [[p + tag for p in tier] for tier in tiers]
+    return Instance(men, women, prefs)
+
+
+def test_poset_route_matches_per_edge_route_at_scale():
+    tie_probs = (0.0, 0.05, 0.1, 0.15)
+    inputs = [
+        random_instance(n, n, 1.0, tie_probs[k % 4], seed=46_000 + k)
+        for k, n in enumerate((15, 16, 17, 18))
+    ] + [
+        block_union(46_100 + 100 * k, 15 + 5 * (k % 4), tie_probs[k // 2 % 4])
+        for k in range(8)
+    ]
+    feasible = tied = 0
+    for k, inst in enumerate(inputs):
+        if optimal_super_stable(inst) is None:
+            continue
+        feasible += 1
+        tied += any(len(tier) > 1 for tiers in inst.prefs.values() for tier in tiers)
+        reference = {edge: per_edge_optimum(inst, edge) for edge in inst.edges}
+        for edge, expected in reference.items():
+            assert optimal_with_edge(inst, edge) == expected, (k, edge)
+        elements, order = family_of(inst, reference)
+        poset = irreducible_poset(inst)
+        assert [(e.matching, e.witnesses, e.pairs) for e in poset.elements] == elements, k
+        assert poset.order == order, k
+    assert feasible >= 8 and tied >= 4
+
+
+def test_irreducible_family_laws_at_scale():
+    for seed in range(47_000, 47_006):
+        inst = random_instance(80, 80, 0.5, 0.0, seed=seed)
+        first, rotation_poset = build_poset(inst)
+        poset = irreducible_poset(inst)
+        assert len(poset.elements) == len(rotation_poset.rotations) + 1, seed
+        for element in poset.elements:
+            assert not has_blocking_edge(inst, element.matching, "super"), seed
+        assert poset.elements[0].matching == first, seed
+        assert all((0, j) in poset.order for j in range(1, len(poset.elements))), seed
+
+
+@st.composite
+def small_tied_instances(draw):
+    """Two complete halves of 2-3 men and women each, a few edges across,
+    and random tied lists: the halves' rotations are unordered, a poset
+    shape that random instances this small rarely have."""
+    sizes = [draw(st.sampled_from((3, 2))) for _ in range(2)]
+    men = [f"m{h}{i}" for h, k in enumerate(sizes) for i in range(k)]
+    women = [f"w{h}{i}" for h, k in enumerate(sizes) for i in range(k)]
+    pairs = [(m, w) for m in men for w in women]
+    edges = [(m, w) for m, w in pairs if m[1] == w[1]]
+    across = [(m, w) for m, w in pairs if m[1] != w[1]]
+    edges += draw(st.lists(st.sampled_from(across), unique=True, max_size=3))
+    # orders drawn element by element lean to sorted lists, whose instances
+    # have a single super-stable matching; a drawn seed keeps them random
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    prefs = {}
+    for agent in men + women:
+        listed = [w if agent == m else m for m, w in edges if agent in (m, w)]
+        rng.shuffle(listed)
+        tiers = []
+        for partner in listed:
+            if tiers and rng.random() < 0.1:
+                tiers[-1].append(partner)
+            else:
+                tiers.append([partner])
+        prefs[agent] = tiers
+    return Instance(men, women, prefs)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_tied_instances())
+def test_optimal_with_edge_property(inst):
+    stable = brute_stable_set(inst, max_edges=21)
+    for edge in inst.edges:
+        containing = [m for m in stable if edge in m]
+        expected = man_optimal_of(inst, containing)
+        assert optimal_with_edge(inst, edge) == expected, (edge, serialize_instance(inst))
