@@ -49,6 +49,20 @@ def _count(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a count >= 1, got {value}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a value in [0, 1], got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="superstable",
@@ -85,13 +99,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("vertices", help="enumerate extreme points exactly")
     p.add_argument("file")
     p.add_argument("--model", choices=["super", "strong"], default="super")
-    p.add_argument("--cap", type=int, default=8)
+    p.add_argument("--cap", type=_count, default=8)
 
     p = sub.add_parser("gen", help="generate a random instance")
-    p.add_argument("--men", type=int, required=True)
-    p.add_argument("--women", type=int, required=True)
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--tie-prob", type=float, default=0.0)
+    p.add_argument("--men", type=_positive, required=True)
+    p.add_argument("--women", type=_positive, required=True)
+    p.add_argument("--density", type=_probability, default=0.5)
+    p.add_argument("--tie-prob", type=_probability, default=0.0)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("oracle", help="brute-force super-stable set (debugging)")

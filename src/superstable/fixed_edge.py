@@ -7,13 +7,7 @@ from dataclasses import dataclass
 
 from .instance import Instance
 from .lattice import build_poset, matching_of
-from .stability import (
-    NoSuperStableMatching,
-    blocking_edges,
-    partner_maps,
-    validate_matching,
-    SUPER,
-)
+from .stability import NoSuperStableMatching, _blocking, _indexed
 
 
 def reduce_for_edge(inst: Instance, edge) -> Instance:
@@ -99,17 +93,23 @@ def p_set(inst: Instance, matching) -> frozenset:
     """All pairs (m, w) with w weakly preferred by m to his partner.
 
     Unmatched men contribute nothing.  Requires a super-stable matching.
+    Each man's list is walked in preference order down to his partner's
+    tier: a prefix walk per man, O(|E|) at worst, after the
+    ``blocking_edges`` check.
     """
-    matching = validate_matching(inst, matching)
-    if blocking_edges(inst, matching, SUPER):
+    indexed = _indexed(inst, matching)
+    if _blocking(inst, indexed):
         raise ValueError("p_set is defined for super-stable matchings only")
-    by_man, _ = partner_maps(matching)
     pairs = []
-    for m, held in by_man.items():
-        cutoff = inst.man_rank(m, held)
-        for w in inst.neighbors(m):
-            if inst.man_rank(m, w) <= cutoff:
-                pairs.append((m, w))
+    for i, held in enumerate(indexed[1]):
+        if held < 0:
+            continue
+        ranks = inst._man_rank[i]
+        cutoff = ranks[held]
+        for j, r in ranks.items():
+            if r > cutoff:
+                break
+            pairs.append((inst.men[i], inst.women[j]))
     return frozenset(pairs)
 
 

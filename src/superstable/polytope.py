@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import accumulate
+from math import gcd, inf, lcm
 from typing import NamedTuple
 
 from .instance import Instance, parse_edge_values
@@ -48,29 +49,42 @@ def convex_combination(points, coefficients) -> dict:
     return combined
 
 
-def _validated(inst: Instance, point) -> dict:
-    for m, w in point:
-        if not inst.is_edge(m, w):
+def _tier_sums(inst: Instance, point):
+    """The point in index space, scaled to integers, with per-agent sums.
+
+    Returns (scale, rows, men, women, negative).  ``scale`` is the lcm of
+    the denominators of the nonzero entries and ``rows[i]`` maps woman index
+    j to scale * x(m_i, w_j) for those entries.  ``men[i][r]`` (resp.
+    ``women[j][r]``) is scale times the agent's mass on tiers 1..r, so
+    index r - 1 is the strictly-better mass at rank r and index -1 the
+    vertex total.  ``negative`` lists, ascending, the men with a negative
+    entry.  Costs O(|point|) plus one slot per tier.
+    """
+    midx, widx = inst._midx, inst._widx
+    man_rank, woman_rank = inst._man_rank, inst._woman_rank
+    entries = []
+    negative = set()
+    for (m, w), value in point.items():
+        i, j = midx.get(m), widx.get(w)
+        if i is None or j is None or j not in man_rank[i]:
             raise ValueError(f"point key ({m!r}, {w!r}) is not an edge")
-    return dict(point)
-
-
-def _tier_sums(inst: Instance, x):
-    """Per agent: (per-tier sums, strict-prefix sums); prefix[r-1] covers all
-    tiers strictly better than rank r, prefix[-1] is the vertex total."""
-    tier_sums: dict[str, list] = {}
-    prefix_sums: dict[str, list] = {}
-    for name in inst.men + inst.women:
-        if name in inst._midx:
-            sums = [sum(x.get((name, w), 0) for w in tier) for tier in inst.prefs[name]]
-        else:
-            sums = [sum(x.get((m, name), 0) for m in tier) for tier in inst.prefs[name]]
-        prefix = [0]
-        for s in sums:
-            prefix.append(prefix[-1] + s)
-        tier_sums[name] = sums
-        prefix_sums[name] = prefix
-    return tier_sums, prefix_sums
+        if value:
+            q = value if isinstance(value, (int, Fraction)) else Fraction(value)
+            entries.append((i, j, q))
+            if q < 0:
+                negative.add(i)
+    scale = lcm(*(q.denominator for _, _, q in entries))
+    rows: list[dict[int, int]] = [{} for _ in inst.men]
+    men = [[0] * (len(tiers) + 1) for tiers in inst._man_tiers]
+    women = [[0] * (len(tiers) + 1) for tiers in inst._woman_tiers]
+    for i, j, q in entries:
+        v = q.numerator * (scale // q.denominator)
+        rows[i][j] = v
+        men[i][man_rank[i][j]] += v
+        women[j][woman_rank[j][i]] += v
+    men = [list(accumulate(sums)) for sums in men]
+    women = [list(accumulate(sums)) for sums in women]
+    return scale, rows, men, women, sorted(negative)
 
 
 def check_point(inst: Instance, point, model: str = SUPER) -> list[Violation]:
@@ -79,38 +93,61 @@ def check_point(inst: Instance, point, model: str = SUPER) -> list[Violation]:
     Super system: per-vertex incident sums at most 1 (1a); for every edge the
     strictly-better mass at both ends plus the edge itself reaches 1 (1b);
     nonnegativity (1c).  The strong system replaces (1b) by two constraints
-    that count each endpoint's whole tie tier (3b, 3c).
+    that count each endpoint's whole tie tier (3b, 3c).  Violations come in
+    that order, by vertex (men first) and then in ``inst.edges`` order.
+
+    Sums come from the point's nonzero entries in integers scaled by their
+    common denominator, so every edge constraint is a few integer lookups.
+    With no negative entry, a man's edges past the point where his
+    strictly-better mass reaches 1 hold, so his list is walked only that
+    far: a prefix walk per man, O(|E|) at worst, plus the size of the point.
     """
     if model not in (SUPER, STRONG):
         raise ValueError(f"unknown model {model!r}")
-    x = _validated(inst, point)
-    tier_sums, prefix = _tier_sums(inst, x)
+    return _violations(inst, _tier_sums(inst, point), model)
+
+
+def _violations(inst: Instance, sums, model: str) -> list[Violation]:
+    """``check_point``'s report, from the output of ``_tier_sums``."""
+    scale, rows, men, women, negative = sums
     report: list[Violation] = []
     vertex_tag = "1a" if model == SUPER else "3a"
     nonneg_tag = "1c" if model == SUPER else "3d"
-    for name in inst.men + inst.women:
-        total = prefix[name][-1]
-        if total > 1:
-            report.append(Violation(vertex_tag, name, Fraction(total), "<= 1"))
-    for m, w in inst.edges:
-        rm = inst.man_rank(m, w)
-        rw = inst.woman_rank(w, m)
-        better = prefix[m][rm - 1] + prefix[w][rw - 1]
-        if model == SUPER:
-            lhs = better + x.get((m, w), 0)
-            if lhs < 1:
-                report.append(Violation("1b", (m, w), Fraction(lhs), ">= 1"))
-        else:
-            lhs = better + tier_sums[m][rm - 1]
-            if lhs < 1:
-                report.append(Violation("3b", (m, w), Fraction(lhs), ">= 1"))
-            lhs = better + tier_sums[w][rw - 1]
-            if lhs < 1:
-                report.append(Violation("3c", (m, w), Fraction(lhs), ">= 1"))
-    for edge in inst.edges:
-        value = x.get(edge, 0)
-        if value < 0:
-            report.append(Violation(nonneg_tag, edge, Fraction(value), ">= 0"))
+    for name, prefix in zip(inst.men + inst.women, men + women):
+        if prefix[-1] > scale:
+            report.append(Violation(vertex_tag, name, Fraction(prefix[-1], scale), "<= 1"))
+    # with nonnegative entries every term is nonnegative and the man's
+    # strictly-better mass only grows along his list
+    stop = inf if negative else scale
+    woman_rank = inst._woman_rank
+    for i, ranks in enumerate(inst._man_rank):
+        pm, row = men[i], rows[i]
+        for j, rm in ranks.items():
+            if pm[rm - 1] >= stop:
+                break
+            pw = women[j]
+            rw = woman_rank[j][i]
+            if model == SUPER:
+                lhs = pm[rm - 1] + pw[rw - 1] + row.get(j, 0)
+                if lhs < scale:
+                    edge = (inst.men[i], inst.women[j])
+                    report.append(Violation("1b", edge, Fraction(lhs, scale), ">= 1"))
+            else:
+                # the strictly-better mass at both ends plus one end's tie tier
+                lhs = pm[rm] + pw[rw - 1]
+                if lhs < scale:
+                    edge = (inst.men[i], inst.women[j])
+                    report.append(Violation("3b", edge, Fraction(lhs, scale), ">= 1"))
+                lhs = pm[rm - 1] + pw[rw]
+                if lhs < scale:
+                    edge = (inst.men[i], inst.women[j])
+                    report.append(Violation("3c", edge, Fraction(lhs, scale), ">= 1"))
+    for i in negative:
+        row = rows[i]
+        for j in inst._man_rank[i]:
+            if row.get(j, 0) < 0:
+                edge = (inst.men[i], inst.women[j])
+                report.append(Violation(nonneg_tag, edge, Fraction(row[j], scale), ">= 0"))
     return report
 
 
@@ -120,26 +157,43 @@ def self_dual(inst: Instance, point):
     Every vertex's multiplier is its incident sum and every edge reuses the
     point itself.  Dual feasibility is verified constraint by constraint and
     the two objective values must agree exactly, which certifies the point
-    as optimal for the maximize-total-mass program over the system.
+    as optimal for the maximize-total-mass program over the system.  Both
+    checks run in integers scaled by the point's common denominator, on the
+    sums ``check_point`` uses.  A feasible point is nonnegative, so a dual
+    constraint holds once the man's strictly-better mass reaches 1: a prefix
+    walk per man, O(|E|) at worst, plus the size of the point.
     """
-    if check_point(inst, point, SUPER):
+    sums = _tier_sums(inst, point)
+    if _violations(inst, sums, SUPER):
         raise ValueError("point is not feasible for the super-stable system")
-    x = _validated(inst, point)
-    tier_sums, prefix = _tier_sums(inst, x)
-    alpha = {name: Fraction(prefix[name][-1]) for name in inst.men + inst.women}
-    for m, w in inst.edges:
-        rm = inst.man_rank(m, w)
-        rw = inst.woman_rank(w, m)
-        worse_m = alpha[m] - prefix[m][rm - 1] - tier_sums[m][rm - 1]
-        worse_w = alpha[w] - prefix[w][rw - 1] - tier_sums[w][rw - 1]
-        lhs = alpha[m] + alpha[w] - worse_m - worse_w - x.get((m, w), 0)
-        if lhs < 1:
-            raise RuntimeError(f"dual constraint failed at ({m}, {w}): {lhs} < 1")
-    primal = Fraction(sum(x.get(e, 0) for e in inst.edges))
-    dual = Fraction(sum(alpha.values())) - Fraction(sum(Fraction(v) for v in x.values()))
+    scale, rows, men, women, _ = sums
+    woman_rank = inst._woman_rank
+    for i, ranks in enumerate(inst._man_rank):
+        pm, row = men[i], rows[i]
+        for j, rm in ranks.items():
+            if pm[rm - 1] >= scale:
+                break
+            # alpha_m + alpha_w minus both ends' strictly-worse mass, minus x_e;
+            # it is at least pm[rm - 1], as x_e is part of the mass on tier rm
+            lhs = pm[rm] + women[j][woman_rank[j][i]] - row.get(j, 0)
+            if lhs < scale:
+                raise RuntimeError(
+                    f"dual constraint failed at ({inst.men[i]}, {inst.women[j]}): "
+                    f"{Fraction(lhs, scale)} < 1"
+                )
+    totals = [prefix[-1] for prefix in men + women]
+    mass = sum(sum(row.values()) for row in rows)
+    primal = Fraction(mass, scale)
+    dual = Fraction(sum(totals) - mass, scale)
     if primal != dual:
         raise RuntimeError(f"objective mismatch: primal {primal} != dual {dual}")
-    beta = {edge: Fraction(x.get(edge, 0)) for edge in inst.edges}
+    alpha = {
+        name: Fraction(total, scale) for name, total in zip(inst.men + inst.women, totals)
+    }
+    beta = dict.fromkeys(inst.edges, Fraction(0))
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            beta[(inst.men[i], inst.women[j])] = Fraction(v, scale)
     return DualCertificate(alpha, beta), primal, dual
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 
 from .instance import Instance, MEN, WOMEN
 
@@ -16,27 +17,26 @@ class NoSuperStableMatching(ValueError):
 
 def validate_matching(inst: Instance, pairs) -> frozenset:
     """Normalize ``pairs`` to a frozenset and check it is a matching of ``inst``."""
+    return _indexed(inst, pairs)[0]
+
+
+def _indexed(inst: Instance, pairs):
+    """(matching, mate_of_man, mate_of_woman): ``pairs`` validated as by
+    ``validate_matching``, with each agent's partner index, -1 if unmatched."""
     matching = frozenset((m, w) for m, w in pairs)
-    seen: set[str] = set()
+    mate_of_man = [-1] * len(inst.men)
+    mate_of_woman = [-1] * len(inst.women)
     for m, w in matching:
-        if not inst.is_edge(m, w):
+        i, j = inst._midx.get(m), inst._widx.get(w)
+        if i is None or j is None or j not in inst._man_rank[i]:
             raise ValueError(f"({m!r}, {w!r}) is not an edge of the instance")
-        if m in seen:
+        if mate_of_man[i] >= 0:
             raise ValueError(f"agent {m!r} appears in two pairs")
-        if w in seen:
+        if mate_of_woman[j] >= 0:
             raise ValueError(f"agent {w!r} appears in two pairs")
-        seen.add(m)
-        seen.add(w)
-    return matching
-
-
-def partner_maps(matching) -> tuple[dict, dict]:
-    by_man = {}
-    by_woman = {}
-    for m, w in matching:
-        by_man[m] = w
-        by_woman[w] = m
-    return by_man, by_woman
+        mate_of_man[i] = j
+        mate_of_woman[j] = i
+    return matching, mate_of_man, mate_of_woman
 
 
 def blocking_edges(inst: Instance, matching, criterion: str = SUPER) -> frozenset:
@@ -47,33 +47,36 @@ def blocking_edges(inst: Instance, matching, criterion: str = SUPER) -> frozense
     An unmatched agent counts any listed partner as a strict improvement.
     The matching is super-stable (resp. strongly stable) iff the result is
     empty.
+
+    Under both criteria a blocking edge leaves its man no worse off, so each
+    man's list is walked in preference order only down to his partner's
+    tier: a prefix walk per man, O(|E|) at worst.
     """
     if criterion not in (SUPER, STRONG):
         raise ValueError(f"unknown criterion {criterion!r}")
-    matching = validate_matching(inst, matching)
-    by_man, by_woman = partner_maps(matching)
+    return _blocking(inst, _indexed(inst, matching), criterion == STRONG)
+
+
+def _blocking(inst: Instance, indexed, strong: bool = False) -> frozenset:
+    """``blocking_edges`` on an ``_indexed`` matching."""
+    _, mate_of_man, mate_of_woman = indexed
+    woman_rank = inst._woman_rank
     blockers = []
-    for m, w in inst.edges:
-        if by_man.get(m) == w:
-            continue
-        held_m = by_man.get(m)
-        held_w = by_woman.get(w)
-        if held_m is None:
-            m_better = m_not_worse = True
-        else:
-            r_new, r_old = inst.man_rank(m, w), inst.man_rank(m, held_m)
-            m_better, m_not_worse = r_new < r_old, r_new <= r_old
-        if held_w is None:
-            w_better = w_not_worse = True
-        else:
-            r_new, r_old = inst.woman_rank(w, m), inst.woman_rank(w, held_w)
-            w_better, w_not_worse = r_new < r_old, r_new <= r_old
-        if criterion == SUPER:
-            if m_not_worse and w_not_worse:
-                blockers.append((m, w))
-        else:
-            if (m_better and w_not_worse) or (w_better and m_not_worse):
-                blockers.append((m, w))
+    for i, ranks in enumerate(inst._man_rank):
+        held = mate_of_man[i]
+        cutoff = ranks[held] if held >= 0 else inf
+        for j, r in ranks.items():
+            if r > cutoff:
+                break
+            if j == held:
+                continue
+            rival = mate_of_woman[j]
+            if rival >= 0:
+                r_new, r_old = woman_rank[j][i], woman_rank[j][rival]
+                # a man who only ties needs her strict gain under strong
+                if r_new > r_old or (strong and r_new == r_old and r == cutoff):
+                    continue
+            blockers.append((inst.men[i], inst.women[j]))
     return frozenset(blockers)
 
 
@@ -195,19 +198,20 @@ def dominates(inst: Instance, first, second) -> bool:
     """True iff every man weakly prefers his partner in ``first`` to ``second``.
 
     Both inputs must be super-stable; they then match the same agents, so the
-    comparison is total on matched men.
+    comparison is total on matched men.  Costs the two ``blocking_edges``
+    checks plus one rank lookup per matched man.
     """
-    first = validate_matching(inst, first)
-    second = validate_matching(inst, second)
-    for matching in (first, second):
-        if blocking_edges(inst, matching, SUPER):
+    first, second = _indexed(inst, first), _indexed(inst, second)
+    for indexed in (first, second):
+        if _blocking(inst, indexed):
             raise ValueError("dominance is defined on super-stable matchings only")
-    by_man_1, _ = partner_maps(first)
-    by_man_2, _ = partner_maps(second)
-    if set(by_man_1) != set(by_man_2):
+    mates_1, mates_2 = first[1], second[1]
+    if [j < 0 for j in mates_1] != [j < 0 for j in mates_2]:
         raise RuntimeError("super-stable matchings must match the same set of men")
     return all(
-        inst.man_rank(m, by_man_1[m]) <= inst.man_rank(m, by_man_2[m]) for m in by_man_1
+        ranks[j1] <= ranks[j2]
+        for ranks, j1, j2 in zip(inst._man_rank, mates_1, mates_2)
+        if j1 >= 0
     )
 
 

@@ -1,13 +1,21 @@
+from fractions import Fraction
+
 import pytest
 
 from superstable import (
     MEN,
+    STRONG,
     SUPER,
+    DualCertificate,
+    Instance,
+    Violation,
     blocking_edges,
     dominates,
     optimal_super_stable,
     parse_instance,
+    random_instance,
     reduce_for_edge,
+    validate_matching,
 )
 
 I1_TEXT = """\
@@ -92,6 +100,24 @@ def per_edge_optimum(inst, edge):
     return None if blocking_edges(inst, candidate, SUPER) else candidate
 
 
+def block_union(seed, n, tie_prob):
+    """Disjoint union of feasible complete random 5 x 5 blocks, n agents a
+    side: rotations of different blocks are unordered, so the rotation poset
+    is far from a chain, which random instances rarely are."""
+    men, women, prefs = [], [], {}
+    while len(men) < n:
+        seed += 1
+        block = random_instance(5, 5, 1.0, tie_prob, seed=seed)
+        if optimal_super_stable(block) is None:
+            continue
+        tag = f"_{len(men) // 5}"
+        men += [m + tag for m in block.men]
+        women += [w + tag for w in block.women]
+        for agent, tiers in block.prefs.items():
+            prefs[agent + tag] = [[p + tag for p in tier] for tier in tiers]
+    return Instance(men, women, prefs)
+
+
 def oracle_chain(inst, stable):
     """A maximal chain built only from the enumerated set, with a tie-break
     deliberately different from the production algorithm."""
@@ -111,3 +137,124 @@ def oracle_chain(inst, stable):
         ]
         current = sorted(immediate, key=sorted)[-1]
         chain.append(current)
+
+
+# -- by-name references for the index-space verification kernels -------------
+# These are the package's earlier per-edge implementations, which look every
+# rank up by agent name and sum each tier member by member.  Tests compare
+# ``blocking_edges``, ``check_point`` and ``self_dual`` with them.
+
+
+def blocking_edges_by_name(inst, matching, criterion=SUPER):
+    """Every edge of ``inst.edges`` tested against both endpoints' ranks."""
+    if criterion not in (SUPER, STRONG):
+        raise ValueError(f"unknown criterion {criterion!r}")
+    matching = validate_matching(inst, matching)
+    by_man = dict(matching)
+    by_woman = {w: m for m, w in matching}
+    blockers = []
+    for m, w in inst.edges:
+        if by_man.get(m) == w:
+            continue
+        held_m = by_man.get(m)
+        held_w = by_woman.get(w)
+        if held_m is None:
+            m_better = m_not_worse = True
+        else:
+            r_new, r_old = inst.man_rank(m, w), inst.man_rank(m, held_m)
+            m_better, m_not_worse = r_new < r_old, r_new <= r_old
+        if held_w is None:
+            w_better = w_not_worse = True
+        else:
+            r_new, r_old = inst.woman_rank(w, m), inst.woman_rank(w, held_w)
+            w_better, w_not_worse = r_new < r_old, r_new <= r_old
+        if criterion == SUPER:
+            if m_not_worse and w_not_worse:
+                blockers.append((m, w))
+        else:
+            if (m_better and w_not_worse) or (w_better and m_not_worse):
+                blockers.append((m, w))
+    return frozenset(blockers)
+
+
+def _validated_by_name(inst, point):
+    for m, w in point:
+        if not inst.is_edge(m, w):
+            raise ValueError(f"point key ({m!r}, {w!r}) is not an edge")
+    return dict(point)
+
+
+def _tier_sums_by_name(inst, x):
+    """Per agent: (per-tier sums, strict-prefix sums); prefix[r-1] covers all
+    tiers strictly better than rank r, prefix[-1] is the vertex total."""
+    tier_sums = {}
+    prefix_sums = {}
+    for name in inst.men + inst.women:
+        if name in inst._midx:
+            sums = [sum(x.get((name, w), 0) for w in tier) for tier in inst.prefs[name]]
+        else:
+            sums = [sum(x.get((m, name), 0) for m in tier) for tier in inst.prefs[name]]
+        prefix = [0]
+        for s in sums:
+            prefix.append(prefix[-1] + s)
+        tier_sums[name] = sums
+        prefix_sums[name] = prefix
+    return tier_sums, prefix_sums
+
+
+def check_point_by_name(inst, point, model=SUPER):
+    """Every constraint of the chosen system evaluated in ``Fraction``s."""
+    if model not in (SUPER, STRONG):
+        raise ValueError(f"unknown model {model!r}")
+    x = _validated_by_name(inst, point)
+    tier_sums, prefix = _tier_sums_by_name(inst, x)
+    report = []
+    vertex_tag = "1a" if model == SUPER else "3a"
+    nonneg_tag = "1c" if model == SUPER else "3d"
+    for name in inst.men + inst.women:
+        total = prefix[name][-1]
+        if total > 1:
+            report.append(Violation(vertex_tag, name, Fraction(total), "<= 1"))
+    for m, w in inst.edges:
+        rm = inst.man_rank(m, w)
+        rw = inst.woman_rank(w, m)
+        better = prefix[m][rm - 1] + prefix[w][rw - 1]
+        if model == SUPER:
+            lhs = better + x.get((m, w), 0)
+            if lhs < 1:
+                report.append(Violation("1b", (m, w), Fraction(lhs), ">= 1"))
+        else:
+            lhs = better + tier_sums[m][rm - 1]
+            if lhs < 1:
+                report.append(Violation("3b", (m, w), Fraction(lhs), ">= 1"))
+            lhs = better + tier_sums[w][rw - 1]
+            if lhs < 1:
+                report.append(Violation("3c", (m, w), Fraction(lhs), ">= 1"))
+    for edge in inst.edges:
+        value = x.get(edge, 0)
+        if value < 0:
+            report.append(Violation(nonneg_tag, edge, Fraction(value), ">= 0"))
+    return report
+
+
+def self_dual_by_name(inst, point):
+    """The dual certificate with every dual constraint checked in ``Fraction``s."""
+    if check_point_by_name(inst, point, SUPER):
+        raise ValueError("point is not feasible for the super-stable system")
+    x = _validated_by_name(inst, point)
+    tier_sums, prefix = _tier_sums_by_name(inst, x)
+    alpha = {name: Fraction(prefix[name][-1]) for name in inst.men + inst.women}
+    for m, w in inst.edges:
+        rm = inst.man_rank(m, w)
+        rw = inst.woman_rank(w, m)
+        worse_m = alpha[m] - prefix[m][rm - 1] - tier_sums[m][rm - 1]
+        worse_w = alpha[w] - prefix[w][rw - 1] - tier_sums[w][rw - 1]
+        lhs = alpha[m] + alpha[w] - worse_m - worse_w - x.get((m, w), 0)
+        if lhs < 1:
+            raise RuntimeError(f"dual constraint failed at ({m}, {w}): {lhs} < 1")
+    primal = Fraction(sum(x.get(e, 0) for e in inst.edges))
+    dual = Fraction(sum(alpha.values())) - Fraction(sum(Fraction(v) for v in x.values()))
+    if primal != dual:
+        raise RuntimeError(f"objective mismatch: primal {primal} != dual {dual}")
+    beta = {edge: Fraction(x.get(edge, 0)) for edge in inst.edges}
+    return DualCertificate(alpha, beta), primal, dual

@@ -242,6 +242,17 @@ def test_exit_codes(capsys, tmp_path, i1_file):
     assert code == 1
     code, out, err = run(capsys, "enumerate", i1_file, "--limit", "-3")
     assert code == 1 and "--limit" in err and not out
+    for argv, option in [
+        (["vertices", i1_file, "--cap", "-1"], "--cap"),
+        (["gen", "--men", "-2", "--women", "3"], "--men"),
+        (["gen", "--men", "2", "--women", "0"], "--women"),
+        (["gen", "--men", "2", "--women", "2", "--density", "7"], "--density"),
+        (["gen", "--men", "2", "--women", "2", "--tie-prob", "-1"], "--tie-prob"),
+        (["gen", "--men", "2", "--women", "2", "--density", "nan"], "--density"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("usage error") and option in err, argv
+        assert not out, argv
     code, _, err = run(capsys, "solve", str(tmp_path / "missing.txt"))
     assert code == 2 and "missing.txt" in err
     bad = tmp_path / "bad.txt"

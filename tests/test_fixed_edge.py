@@ -16,7 +16,7 @@ from superstable import (
     serialize_instance,
 )
 from superstable.oracle import brute_stable_set, has_blocking_edge
-from conftest import man_optimal_of, per_edge_optimum
+from conftest import block_union, man_optimal_of, per_edge_optimum
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
 MZ_I1 = frozenset({("a", "y"), ("b", "x")})
@@ -171,24 +171,6 @@ def family_of(inst, optima):
         if a[2] < b[2]
     }
     return elements, order
-
-
-def block_union(seed, n, tie_prob):
-    """Disjoint union of feasible complete random 5 x 5 blocks, n agents a
-    side: rotations of different blocks are unordered, so the rotation poset
-    is far from a chain, which random instances rarely are."""
-    men, women, prefs = [], [], {}
-    while len(men) < n:
-        seed += 1
-        block = random_instance(5, 5, 1.0, tie_prob, seed=seed)
-        if optimal_super_stable(block) is None:
-            continue
-        tag = f"_{len(men) // 5}"
-        men += [m + tag for m in block.men]
-        women += [w + tag for w in block.women]
-        for agent, tiers in block.prefs.items():
-            prefs[agent + tag] = [[p + tag for p in tier] for tier in tiers]
-    return Instance(men, women, prefs)
 
 
 def test_poset_route_matches_per_edge_route_at_scale():

@@ -2,18 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superstable import (
     Instance,
+    blocking_edges,
     check_point,
     convex_combination,
     incidence_vector,
     load_point,
+    maximal_sequence,
     random_instance,
     self_dual,
     vertices,
 )
 from superstable.oracle import brute_stable_set, enumerate_matchings, has_blocking_edge
+from conftest import block_union, blocking_edges_by_name, check_point_by_name, self_dual_by_name
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
 MZ_I1 = frozenset({("a", "y"), ("b", "x")})
@@ -192,3 +196,113 @@ def test_equality_structure_sweep():
             for m in positive:
                 if inst.woman_rank(woman, m) == best:
                     assert vertex_sum(m) == 1, (k, woman, m)
+
+
+def random_matching(inst, rng):
+    """A random partial matching: edges taken greedily in shuffled order."""
+    used, chosen = set(), set()
+    for m, w in rng.sample(inst.edges, len(inst.edges)):
+        if m not in used and w not in used and rng.random() < 0.7:
+            chosen.add((m, w))
+            used.update((m, w))
+    return frozenset(chosen)
+
+
+def random_point(inst, rng):
+    """Rational values on a random subset of edges: halves, thirds, values
+    that push vertex sums above 1, some negative, and some explicit zeros."""
+    values = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2),
+              Fraction(1), Fraction(0), Fraction(-1, 4), Fraction(-2)]
+    share = rng.choice((0.1, 0.4, 1.0))
+    return {e: rng.choice(values) for e in inst.edges if rng.random() < share}
+
+
+def outcome(fn, *args):
+    """The result of ``fn``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+
+
+def test_index_kernels_match_by_name_references_at_scale():
+    rng = random.Random(58_000)
+    inputs = [
+        random_instance(n, n, 0.3, ties, seed=58_000 + k)
+        for k, (ties, n) in enumerate((t, n) for t in (0.0, 0.1, 0.3) for n in (30, 55, 80))
+    ]
+    # large random instances with ties are almost never feasible
+    inputs += [block_union(58_100 + k, n, 0.3) for k, n in enumerate((30, 55, 80))]
+    feasible = tied = fractional = 0
+    for k, inst in enumerate(inputs):
+        chain = maximal_sequence(inst)
+        feasible += bool(chain)
+        tied += bool(chain) and any(len(t) > 1 for ts in inst.prefs.values() for t in ts)
+        matchings = chain + [random_matching(inst, rng) for _ in range(4)] + [frozenset()]
+        # the by-name references are slow: 0/1 points from the chain's ends only
+        points = [incidence_vector(m) for m in chain[:1] + chain[-1:] + matchings[len(chain):]]
+        points += [random_point(inst, rng) for _ in range(4)]
+        points += [{e: Fraction(1, 2) for e in inst.edges},
+                   {e: Fraction(1, 3) for e in inst.edges}]
+        for _ in range(2 if len(chain) > 1 else 0):
+            weights = [Fraction(rng.randint(0, 5)) for _ in chain]
+            weights[0] += 1
+            points.append(convex_combination(
+                [incidence_vector(m) for m in chain], [w / sum(weights) for w in weights]
+            ))
+        for matching in matchings:
+            for criterion in ("super", "strong"):
+                assert blocking_edges(inst, matching, criterion) == blocking_edges_by_name(
+                    inst, matching, criterion
+                ), (k, criterion, sorted(matching))
+        for x in points:
+            for model in ("super", "strong"):
+                got = check_point(inst, x, model)
+                assert got == check_point_by_name(inst, x, model), (k, model)
+                assert all(type(v.lhs) is Fraction for v in got), (k, model)
+            got, expected = outcome(self_dual, inst, x), outcome(self_dual_by_name, inst, x)
+            assert got == expected, k
+            if not isinstance(got[0], type):
+                fractional += any(v.denominator > 1 for v in x.values())
+                cert = got[0]
+                assert list(cert.alpha) == list(expected[0].alpha), k
+                assert list(cert.beta) == list(expected[0].beta), k
+                values = [*cert.alpha.values(), *cert.beta.values(), *got[1:]]
+                assert all(type(v) is Fraction for v in values), k
+    assert feasible >= 6 and tied >= 3 and fractional >= 8, (feasible, tied, fractional)
+
+
+@st.composite
+def small_tied_instances(draw):
+    """2-6 agents a side, at most 14 edges, and randomly tied lists."""
+    men = [f"m{i}" for i in range(draw(st.integers(2, 6)))]
+    women = [f"w{j}" for j in range(draw(st.integers(2, 6)))]
+    density = draw(st.sampled_from((0.8, 0.5, 0.3)))
+    tie_prob = draw(st.sampled_from((0.3, 0.6, 0.0)))
+    # edges and orders drawn element by element lean to tiny sorted
+    # instances; a drawn seed keeps them random
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = [(m, w) for m in men for w in women if rng.random() < density][:14]
+    prefs = {}
+    for agent in men + women:
+        listed = [w if agent == m else m for m, w in edges if agent in (m, w)]
+        rng.shuffle(listed)
+        tiers = []
+        for partner in listed:
+            if tiers and rng.random() < tie_prob:
+                tiers[-1].append(partner)
+            else:
+                tiers.append([partner])
+        prefs[agent] = tiers
+    return Instance(men, women, prefs)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_tied_instances())
+def test_blocking_and_integral_characterization_property(inst):
+    for matching in enumerate_matchings(inst, max_edges=14):
+        x = incidence_vector(matching)
+        for criterion in ("super", "strong"):
+            stable = not has_blocking_edge(inst, matching, criterion)
+            assert (not blocking_edges(inst, matching, criterion)) == stable, criterion
+            assert (check_point(inst, x, criterion) == []) == stable, criterion
