@@ -14,10 +14,7 @@ from .instance import (
     parse_edge_values,
     parse_instance,
     random_instance,
-    rank_of,
     serialize_instance,
-    swap_sides,
-    transpose_pairs,
 )
 from .stability import (
     STRONG,
@@ -25,7 +22,6 @@ from .stability import (
     NoSuperStableMatching,
     blocking_edges,
     dominates,
-    is_super_stable,
     matching_to_json,
     optimal_super_stable,
     validate_matching,
@@ -59,7 +55,6 @@ from .polytope import (
     check_point,
     convex_combination,
     incidence_vector,
-    load_point,
     self_dual,
     vertices,
 )

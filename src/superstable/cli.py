@@ -16,13 +16,14 @@ from .fixed_edge import irreducible_poset
 from .instance import (
     ParseError,
     load_weights,
+    parse_edge_values,
     parse_instance,
     random_instance,
     serialize_instance,
 )
 from .lattice import enumerate_all, max_weight
 from .oracle import brute_stable_set
-from .polytope import check_point, load_point, vertices
+from .polytope import check_point, vertices
 from .rotations import maximal_sequence, precedence_digraph, rotations_of
 from .stability import (
     MEN,
@@ -244,7 +245,7 @@ def _cmd_maxweight(args) -> int:
 def _cmd_check_polytope(args) -> int:
     inst = _load(args.file)
     try:
-        point = load_point(inst, _read(args.point))
+        point = parse_edge_values(inst, _read(args.point))
     except ParseError as err:
         raise _InputError(f"{args.point}: {err}") from None
     report = check_point(inst, point, args.model)

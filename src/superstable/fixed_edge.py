@@ -61,20 +61,29 @@ def reduce_for_edge(inst: Instance, edge) -> Instance:
 
 
 def _edge_optima(inst: Instance):
-    """Each edge of some super-stable matching -> the man-optimal one through
-    it: the top matching, or the one after the down-closure of the rotation
-    that adds the edge.  None when infeasible."""
+    """The irreducible family read off the rotation poset, or None when
+    infeasible.
+
+    Returns ``(matchings, closures, owner)``.  Element 0 is the top matching;
+    element r + 1 is the matching after ``closures[r + 1]``, the down-closure
+    of rotation r (``closures[0]`` is empty).  ``owner`` maps each edge of
+    some super-stable matching to the element that is the man-optimal
+    matching through it: the top matching's edges to 0, the edges a rotation
+    adds to that rotation's element.
+    """
     built = build_poset(inst)
     if built is None:
         return None
     first, poset = built
-    optima = dict.fromkeys(first, first)
-    closures: list[set[int]] = []  # discovery order is a linear extension
+    matchings = [first]
+    closures: list[set[int]] = [set()]
+    owner = dict.fromkeys(first, 0)
+    # discovery order is a linear extension: predecessors come first
     for rot, preds in zip(poset.rotations, poset.predecessors()):
-        closures.append({rot.index}.union(*(closures[i] for i in preds)))
-        found = matching_of(first, poset.rotations, closures[-1])
-        optima.update(dict.fromkeys(rot.added, found))
-    return optima
+        closures.append({rot.index}.union(*(closures[i + 1] for i in preds)))
+        matchings.append(matching_of(first, poset.rotations, closures[-1]))
+        owner.update(dict.fromkeys(rot.added, rot.index + 1))
+    return matchings, closures, owner
 
 
 def optimal_with_edge(inst: Instance, edge):
@@ -82,11 +91,19 @@ def optimal_with_edge(inst: Instance, edge):
 
     Read off the rotation poset: the top matching if it holds the edge, else
     the one after the down-closure of the rotation that adds it, if any.
+    Each call builds the whole poset (both solves, the chain and the
+    precedence digraph); to query many edges, read the witnesses of
+    ``irreducible_poset`` instead.
     """
     m0, w0 = edge
     if not inst.is_edge(m0, w0):
         raise ValueError(f"({m0!r}, {w0!r}) is not an edge")
-    return (_edge_optima(inst) or {}).get((m0, w0))
+    found = _edge_optima(inst)
+    if found is None:
+        return None
+    matchings, _, owner = found
+    element = owner.get((m0, w0))
+    return None if element is None else matchings[element]
 
 
 def p_set(inst: Instance, matching) -> frozenset:
@@ -143,23 +160,30 @@ def irreducible_poset(inst: Instance) -> IrreduciblePoset:
     """One element per distinct optimal_with_edge matching, all witnesses kept.
 
     Elements (the top matching and one per rotation) follow their first
-    witness in ``inst.edges``.  Raises NoSuperStableMatching when infeasible.
+    witness in ``inst.edges``.  By Birkhoff's representation theorem their
+    P-set containment order is the rotation order: the top matching lies
+    below every other element, and rotation r's element below rotation s's
+    exactly when r is in the down-closure of s.  Raises
+    NoSuperStableMatching when infeasible.
     """
-    optima = _edge_optima(inst)
-    if optima is None:
+    found = _edge_optima(inst)
+    if found is None:
         raise NoSuperStableMatching("instance admits no super-stable matching")
-    witnesses: dict[frozenset, list[tuple[str, str]]] = {}
+    matchings, closures, owner = found
+    witnesses: dict[int, list[tuple[str, str]]] = {}
     for edge in inst.edges:
-        if edge in optima:
-            witnesses.setdefault(optima[edge], []).append(edge)
+        if edge in owner:
+            witnesses.setdefault(owner[edge], []).append(edge)
+    position = {element: i for i, element in enumerate(witnesses)}
     elements = tuple(
-        IrreducibleElement(matching, tuple(wit), p_set(inst, matching))
-        for matching, wit in witnesses.items()
+        IrreducibleElement(matchings[k], tuple(wit), p_set(inst, matchings[k]))
+        for k, wit in witnesses.items()
     )
+    # a rotation exists only below a nonempty top matching, which has witnesses
     order = frozenset(
-        (i, j)
-        for i, a in enumerate(elements)
-        for j, b in enumerate(elements)
-        if i != j and a.pairs < b.pairs
+        (position[below], j)
+        for k, j in position.items()
+        if k
+        for below in (0, *(r + 1 for r in closures[k] if r + 1 != k))
     )
     return IrreduciblePoset(elements, order)

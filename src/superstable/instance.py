@@ -97,18 +97,6 @@ class Instance:
             normalized[name] = tuple(tiers)
         self.prefs = normalized
 
-        # mutual acceptability defines the edge set
-        listed = {
-            (m, w) for m in self.men for tier in normalized[m] for w in tier
-        }
-        listed_back = {
-            (m, w) for w in self.women for tier in normalized[w] for m in tier
-        }
-        for m, w in listed - listed_back:
-            raise ValueError(f"non-mutual listing: {m!r} lists {w!r} but not vice versa")
-        for m, w in listed_back - listed:
-            raise ValueError(f"non-mutual listing: {w!r} lists {m!r} but not vice versa")
-
         self._midx = {m: i for i, m in enumerate(self.men)}
         self._widx = {w: j for j, w in enumerate(self.women)}
         self._man_tiers = [
@@ -125,6 +113,19 @@ class Instance:
             {m: t + 1 for t, tier in enumerate(tiers) for m in tier}
             for tiers in self._woman_tiers
         ]
+        # mutual acceptability defines the edge set; the first one-sided
+        # listing in declaration order is reported, men's lists first
+        for names, others, ranks, back in (
+            (self.men, self.women, self._man_rank, self._woman_rank),
+            (self.women, self.men, self._woman_rank, self._man_rank),
+        ):
+            for i, listed in enumerate(ranks):
+                for j in listed:
+                    if i not in back[j]:
+                        raise ValueError(
+                            f"non-mutual listing: {names[i]!r} lists {others[j]!r}"
+                            " but not vice versa"
+                        )
         self.edges = tuple(
             (m, w) for m in self.men for tier in normalized[m] for w in tier
         )
@@ -169,29 +170,6 @@ class Instance:
 
     def __repr__(self):
         return f"Instance({len(self.men)} men, {len(self.women)} women, {len(self.edges)} edges)"
-
-
-def rank_of(inst: Instance, agent: str, partner: str) -> int:
-    """Rank (1-based tier index) of ``partner`` on ``agent``'s list.
-
-    Equal ranks mean the agent is indifferent; a smaller rank means strict
-    preference.
-    """
-    if agent in inst._midx:
-        return inst.man_rank(agent, partner)
-    if agent in inst._widx:
-        return inst.woman_rank(agent, partner)
-    raise ValueError(f"unknown agent {agent!r}")
-
-
-def swap_sides(inst: Instance) -> Instance:
-    """The same instance with the two sides exchanged."""
-    return Instance(inst.women, inst.men, inst.prefs)
-
-
-def transpose_pairs(pairs):
-    """Flip (man, woman) pairs into the swapped-sides orientation."""
-    return frozenset((b, a) for a, b in pairs)
 
 
 # -- text format -----------------------------------------------------------

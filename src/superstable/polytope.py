@@ -10,7 +10,7 @@ from itertools import accumulate
 from math import gcd, inf, lcm
 from typing import NamedTuple
 
-from .instance import Instance, parse_edge_values
+from .instance import Instance
 from .stability import STRONG, SUPER
 
 
@@ -25,11 +25,6 @@ class Violation(NamedTuple):
 class DualCertificate:
     alpha: dict  # vertex -> value, >= 0
     beta: dict  # edge -> value, >= 0
-
-
-def load_point(inst: Instance, text: str) -> dict:
-    """Parse a fractional edge vector from ``man woman rational`` lines."""
-    return parse_edge_values(inst, text)
 
 
 def incidence_vector(matching) -> dict:

@@ -37,11 +37,6 @@ class RotationPoset:
             direct[j].add(i)
         return [frozenset(s) for s in direct]
 
-    def is_closed(self, subset) -> bool:
-        chosen = set(subset)
-        preds = self.predecessors()
-        return all(preds[i] <= chosen for i in chosen)
-
 
 def maximal_sequence(inst: Instance) -> list[frozenset]:
     """A maximal chain of super-stable matchings, best-for-men first.

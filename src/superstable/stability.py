@@ -80,10 +80,6 @@ def _blocking(inst: Instance, indexed, strong: bool = False) -> frozenset:
     return frozenset(blockers)
 
 
-def is_super_stable(inst: Instance, matching) -> bool:
-    return not blocking_edges(inst, matching, SUPER)
-
-
 def optimal_super_stable(inst: Instance, side: str = MEN):
     """The side-optimal super-stable matching, or None if there is none.
 

@@ -59,6 +59,19 @@ y: a b
 z: b c
 """
 
+# six one-sided listings on the men's lists and three on the women's; the
+# first in declaration order is a's listing of z
+NON_MUTUAL_TEXT = """\
+men: a b c
+women: x y z
+a: z y x
+b: x z
+c: y
+x: a c
+y: b a
+z: c
+"""
+
 
 @pytest.fixture(scope="session")
 def i1():
@@ -98,6 +111,17 @@ def per_edge_optimum(inst, edge):
         return None
     candidate = inner | {tuple(edge)}
     return None if blocking_edges(inst, candidate, SUPER) else candidate
+
+
+def swap_sides(inst):
+    """The same instance with the two sides exchanged: solving it for the men
+    is the woman-side reference, independent of the woman-side proposals."""
+    return Instance(inst.women, inst.men, inst.prefs)
+
+
+def transpose_pairs(pairs):
+    """Flip (man, woman) pairs into the swapped-sides orientation."""
+    return frozenset((b, a) for a, b in pairs)
 
 
 def block_union(seed, n, tie_prob):

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import superstable
 from superstable import parse_instance
 from superstable.cli import main
-from conftest import I1_TEXT, I2_TEXT
+from conftest import CHAIN3_TEXT, I1_TEXT, I2_TEXT, I3_TEXT, NON_MUTUAL_TEXT
 
 PAIR = {"type": "array", "items": {"type": "string"}, "minItems": 2, "maxItems": 2}
 MATCHING = {
@@ -269,3 +274,64 @@ def test_no_input_mutation(capsys, i1_file):
     before = open(i1_file).read()
     run(capsys, "rotations", i1_file)
     assert open(i1_file).read() == before
+
+
+# Runs each argv through ``main`` in one interpreter and prints, per argv,
+# the exit code, stdout and stderr as JSON.
+RUN_ALL = """
+import contextlib, io, json, sys
+from superstable.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_output_does_not_depend_on_hash_seed(tmp_path):
+    argvs = [["gen", "--men", "4", "--women", "4", "--density", "0.8", "--tie-prob", "0.3"]]
+    texts = {
+        "i1": I1_TEXT, "i2": I2_TEXT, "i3": I3_TEXT, "chain3": CHAIN3_TEXT,
+        "non_mutual": NON_MUTUAL_TEXT,
+    }
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        edges = [] if name == "non_mutual" else parse_instance(text).edges
+        weights = tmp_path / f"{name}.w"
+        weights.write_text("".join(f"{m} {w} {k % 3 - 1}\n" for k, (m, w) in enumerate(edges)))
+        point = tmp_path / f"{name}.p"
+        point.write_text("".join(f"{m} {w} 1/2\n" for m, w in edges))
+        f = str(path)
+        argvs += [
+            ["solve", f],
+            ["solve", f, "--side", "women"],
+            ["enumerate", f],
+            ["rotations", f],
+            ["rotations", f, "--dot"],
+            ["irreducible", f],
+            ["irreducible", f, "--dot"],
+            ["maxweight", f, "--weights", str(weights)],
+            ["check-polytope", f, "--point", str(point)],
+            ["check-polytope", f, "--point", str(point), "--model", "strong"],
+            ["vertices", f],
+            ["vertices", f, "--model", "strong"],
+            ["oracle", f],
+        ]
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = str(Path(superstable.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", RUN_ALL, json.dumps(argvs)],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        runs.append(json.loads(done.stdout))
+    for argv, first, second in zip(argvs, *runs):
+        assert first == second, argv
+    assert runs[0][-1] == [2, "", f"error: {tmp_path / 'non_mutual.txt'}: "
+                           "non-mutual listing: 'a' lists 'z' but not vice versa\n"]
+    assert sum(code == 0 for code, _, _ in runs[0]) == 1 + 4 * 13

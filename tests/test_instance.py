@@ -6,11 +6,9 @@ from superstable import (
     load_weights,
     parse_instance,
     random_instance,
-    rank_of,
     serialize_instance,
-    swap_sides,
 )
-from conftest import I1_TEXT, I2_TEXT
+from conftest import I1_TEXT, I2_TEXT, NON_MUTUAL_TEXT, swap_sides
 
 
 def test_parse_i1(i1):
@@ -28,6 +26,13 @@ def test_parse_rejects_non_mutual():
     broken = I1_TEXT.replace("x: b a", "x: b")
     with pytest.raises(ParseError, match="non-mutual"):
         parse_instance(broken)
+    # the first one-sided listing in declaration order, men's lists first
+    with pytest.raises(ParseError) as err:
+        parse_instance(NON_MUTUAL_TEXT)
+    assert str(err.value) == "non-mutual listing: 'a' lists 'z' but not vice versa"
+    with pytest.raises(ValueError) as err:
+        Instance(["a", "b"], ["x", "y"], {"a": [["x"]], "x": [["a"], ["b"]], "y": [["b"], ["a"]]})
+    assert str(err.value) == "non-mutual listing: 'x' lists 'b' but not vice versa"
 
 
 def test_parse_errors():
@@ -80,15 +85,18 @@ def test_constructor_invariants():
         Instance(["a-b"], ["x"], {})
 
 
-def test_rank_of_examples(i1, i2, i3):
-    assert rank_of(i1, "x", "b") == 1
-    assert rank_of(i1, "x", "a") == 2
-    assert rank_of(i2, "x", "a") == 1 and rank_of(i2, "x", "b") == 1
-    assert rank_of(i3, "a", "y") == 1 and rank_of(i3, "a", "x") == 1
-    with pytest.raises(ValueError):
-        rank_of(i1, "a", "a")
-    with pytest.raises(ValueError):
-        rank_of(i3, "x", "b")  # not an edge
+def test_man_and_woman_rank_examples(i1, i2, i3):
+    assert i1.woman_rank("x", "b") == 1
+    assert i1.woman_rank("x", "a") == 2
+    assert i1.man_rank("a", "y") == 2
+    assert i2.woman_rank("x", "a") == 1 and i2.woman_rank("x", "b") == 1
+    assert i3.man_rank("a", "y") == 1 and i3.man_rank("a", "x") == 1
+    with pytest.raises(ValueError, match="not an edge"):
+        i1.man_rank("a", "a")  # a man, not a woman
+    with pytest.raises(ValueError, match="not an edge"):
+        i1.woman_rank("a", "x")  # the sides swapped
+    with pytest.raises(ValueError, match="not an edge"):
+        i3.woman_rank("x", "b")  # not an edge
 
 
 def test_rank_consistent_with_tiers(i3):
@@ -103,7 +111,8 @@ def test_rank_consistent_with_tiers(i3):
                         break
                     if q in tier:
                         break
-                assert (rank_of(i3, agent, p) < rank_of(i3, agent, q)) == strictly_preferred
+                rank = i3.man_rank if agent in i3.men else i3.woman_rank
+                assert (rank(agent, p) < rank(agent, q)) == strictly_preferred
 
 
 def test_random_complete_strict():

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from superstable import (
     SUPER,
+    Instance,
     Rotation,
     RotationPoset,
     blocking_edges,
@@ -18,7 +20,8 @@ from superstable import (
     random_instance,
 )
 from superstable.lattice import _best_closure
-from superstable.oracle import brute_stable_set
+from superstable.oracle import brute_stable_set, has_blocking_edge
+from conftest import block_union
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
 MZ_I1 = frozenset({("a", "y"), ("b", "x")})
@@ -88,6 +91,29 @@ def test_enumeration_matches_oracle_sweep():
         assert set(got) == set(stable), k
 
 
+def blocks_of(inst):
+    """The 5 x 5 blocks of a ``block_union`` instance, split by name tag."""
+    for tag in sorted({m.rpartition("_")[2] for m in inst.men}, key=int):
+        men = [m for m in inst.men if m.endswith(f"_{tag}")]
+        women = [w for w in inst.women if w.endswith(f"_{tag}")]
+        yield Instance(men, women, {a: inst.prefs[a] for a in men + women})
+
+
+def test_enumeration_product_law():
+    # a block union's lattice is the product of its blocks' lattices
+    products = 0  # inputs with at least two factors above 1
+    for k, tie_prob in enumerate((0.05, 0.1, 0.15, 0.3) * 2):
+        inst = block_union(54_000 + 100 * k, 15 + 5 * (k % 2), tie_prob)
+        assert any(len(tier) > 1 for tiers in inst.prefs.values() for tier in tiers), k
+        counts = [len(brute_stable_set(b, max_edges=25)) for b in blocks_of(inst)]
+        got = list(enumerate_all(inst))
+        assert len(got) == len(set(got)) == prod(counts), (k, counts)
+        for matching in random.Random(k).sample(got, min(len(got), 10)):
+            assert not has_blocking_edge(inst, matching, "super"), k
+        products += sum(c > 1 for c in counts) >= 2
+    assert products >= 2
+
+
 def test_order_isomorphism_sweep():
     for k in range(100):
         n = 2 + (k % 4)
@@ -150,6 +176,13 @@ def test_long_chain_min_cut():
     poset = _long_chain(1500)
     chosen = _best_closure([Fraction(-1)] * 1499 + [Fraction(1505)], poset.arcs)
     assert chosen == set(range(1500))
+
+
+def test_best_closure_prefers_the_smallest_optimum():
+    # zero-valued rotations stay out unless a positive one needs them
+    assert _best_closure([Fraction(0), Fraction(0), Fraction(1)], {(0, 2)}) == {0, 2}
+    assert _best_closure([Fraction(-1), Fraction(1)], {(0, 1)}) == set()
+    assert _best_closure([Fraction(0)] * 3, set()) == set()
 
 
 def test_long_chain_closed_subsets():

@@ -10,8 +10,8 @@ from superstable import (
     check_point,
     convex_combination,
     incidence_vector,
-    load_point,
     maximal_sequence,
+    parse_edge_values,
     random_instance,
     self_dual,
     vertices,
@@ -100,7 +100,7 @@ def test_vertices_cap():
 
 
 def test_point_file(i1):
-    point = load_point(i1, "a x 1/2\nb y 1/2\n")
+    point = parse_edge_values(i1, "a x 1/2\nb y 1/2\n")
     assert point[("a", "x")] == Fraction(1, 2)
 
 

@@ -3,6 +3,7 @@ import pytest
 from superstable import (
     MEN,
     WOMEN,
+    closed_subsets,
     dominates,
     maximal_sequence,
     optimal_super_stable,
@@ -60,7 +61,8 @@ def test_chain3_digraph(chain3):
     assert len(rots) == 2
     assert poset.arcs == {(0, 1)}
     assert poset.predecessors() == [frozenset(), frozenset({0})]
-    assert poset.is_closed({0}) and not poset.is_closed({1})
+    closed = set(closed_subsets(poset))
+    assert frozenset({0}) in closed and frozenset({1}) not in closed
 
 
 def test_digraph_rejects_corrupt_rotations(chain3):

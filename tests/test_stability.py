@@ -10,12 +10,10 @@ from superstable import (
     matching_to_json,
     optimal_super_stable,
     random_instance,
-    swap_sides,
-    transpose_pairs,
     validate_matching,
 )
 from superstable.oracle import brute_stable_set
-from conftest import man_optimal_of
+from conftest import man_optimal_of, swap_sides, transpose_pairs
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
 MZ_I1 = frozenset({("a", "y"), ("b", "x")})
