@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from itertools import chain, count, repeat
+from operator import contains
 from typing import Iterable, Mapping, Sequence
 
 MEN = "men"
@@ -12,6 +14,14 @@ WOMEN = "women"
 
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 _TOKEN = re.compile(r"\s*(?:([A-Za-z0-9_]+)|(\()|(\))|(\S))")
+# a whole preference line, matched in linear time: the lookahead makes every
+# name maximal, so no name can be split to retry a failed match
+_PLAIN_LINE = re.compile(r"[A-Za-z0-9_\s]*")
+_ENTRY_NAME = r"[A-Za-z0-9_]+(?![A-Za-z0-9_])"
+_TIED_LINE = re.compile(
+    rf"\s*(?:(?:{_ENTRY_NAME}|\((?:\s*{_ENTRY_NAME})+\s*\))\s*)*"
+)
+_ENTRY = re.compile(r"\(([^)]*)\)|([A-Za-z0-9_]+)")
 
 
 class ParseError(ValueError):
@@ -41,14 +51,12 @@ class Instance:
         "women",
         "prefs",
         "edges",
-        "_edge_set",
         "_midx",
         "_widx",
         "_man_tiers",
         "_woman_tiers",
         "_man_rank",
         "_woman_rank",
-        "_key",
     )
 
     def __init__(
@@ -75,62 +83,40 @@ class Instance:
             if name not in known:
                 raise ValueError(f"preferences given for unknown agent {name!r}")
 
-        normalized: dict[str, tuple[tuple[str, ...], ...]] = {}
-        mset, wset = set(self.men), set(self.women)
-        for name in self.men + self.women:
-            opposite = wset if name in mset else mset
-            tiers = []
-            seen: set[str] = set()
-            for tier in prefs.get(name, ()):
-                tier = tuple(tier)
-                if not tier:
-                    raise ValueError(f"empty tier in {name!r}'s list")
-                for member in tier:
-                    if member not in opposite:
-                        raise ValueError(
-                            f"{name!r} lists {member!r}, which is not on the opposite side"
-                        )
-                    if member in seen:
-                        raise ValueError(f"duplicate entry {member!r} in {name!r}'s list")
-                    seen.add(member)
-                tiers.append(tier)
-            normalized[name] = tuple(tiers)
-        self.prefs = normalized
-
         self._midx = {m: i for i, m in enumerate(self.men)}
         self._widx = {w: j for j, w in enumerate(self.women)}
-        self._man_tiers = [
-            [[self._widx[w] for w in tier] for tier in normalized[m]] for m in self.men
-        ]
-        self._woman_tiers = [
-            [[self._midx[m] for m in tier] for tier in normalized[w]] for w in self.women
-        ]
-        self._man_rank = [
-            {w: t + 1 for t, tier in enumerate(tiers) for w in tier}
-            for tiers in self._man_tiers
-        ]
-        self._woman_rank = [
-            {m: t + 1 for t, tier in enumerate(tiers) for m in tier}
-            for tiers in self._woman_tiers
-        ]
-        # mutual acceptability defines the edge set; the first one-sided
-        # listing in declaration order is reported, men's lists first
-        for names, others, ranks, back in (
-            (self.men, self.women, self._man_rank, self._woman_rank),
-            (self.women, self.men, self._woman_rank, self._man_rank),
-        ):
-            for i, listed in enumerate(ranks):
-                for j in listed:
-                    if i not in back[j]:
-                        raise ValueError(
-                            f"non-mutual listing: {names[i]!r} lists {others[j]!r}"
-                            " but not vice versa"
-                        )
-        self.edges = tuple(
-            (m, w) for m in self.men for tier in normalized[m] for w in tier
+        self.prefs: dict[str, tuple[tuple[str, ...], ...]] = {}
+        self._man_tiers, self._man_rank = _index_lists(
+            self.men, self._widx, prefs, self.prefs
         )
-        self._edge_set = frozenset(self.edges)
-        self._key = (self.men, self.women, tuple(sorted(normalized.items())))
+        self._woman_tiers, self._woman_rank = _index_lists(
+            self.women, self._midx, prefs, self.prefs
+        )
+        # mutual acceptability defines the edge set: it holds when every
+        # man's listing is returned and both sides list as many pairs
+        woman_rank = self._woman_rank
+        if sum(map(len, self._man_rank)) != sum(map(len, woman_rank)) or not all(
+            all(map(contains, map(woman_rank.__getitem__, ranks), repeat(i)))
+            for i, ranks in enumerate(self._man_rank)
+        ):
+            # report the first one-sided listing in declaration order, men's first
+            for names, others, ranks, back in (
+                (self.men, self.women, self._man_rank, self._woman_rank),
+                (self.women, self.men, self._woman_rank, self._man_rank),
+            ):
+                for i, listed in enumerate(ranks):
+                    for j in listed:
+                        if i not in back[j]:
+                            raise ValueError(
+                                f"non-mutual listing: {names[i]!r} lists {others[j]!r}"
+                                " but not vice versa"
+                            )
+        self.edges = tuple(
+            chain.from_iterable(
+                zip(repeat(m), map(self.women.__getitem__, ranks))
+                for m, ranks in zip(self.men, self._man_rank)
+            )
+        )
 
     # -- basic queries ----------------------------------------------------
 
@@ -142,7 +128,8 @@ class Instance:
         raise ValueError(f"unknown agent {name!r}")
 
     def is_edge(self, man: str, woman: str) -> bool:
-        return (man, woman) in self._edge_set
+        i, j = self._midx.get(man), self._widx.get(woman)
+        return i is not None and j is not None and j in self._man_rank[i]
 
     def neighbors(self, name: str) -> tuple[str, ...]:
         """Acceptable partners of ``name`` in preference order (ties flattened)."""
@@ -163,13 +150,71 @@ class Instance:
             raise ValueError(f"({man!r}, {woman!r}) is not an edge") from None
 
     def __eq__(self, other):
-        return isinstance(other, Instance) and self._key == other._key
+        return (
+            isinstance(other, Instance)
+            and self.men == other.men
+            and self.women == other.women
+            and self.prefs == other.prefs
+        )
 
     def __hash__(self):
-        return hash(self._key)
+        lists = tuple(map(self.prefs.__getitem__, self.men + self.women))
+        return hash((self.men, self.women, lists))
 
     def __repr__(self):
         return f"Instance({len(self.men)} men, {len(self.women)} women, {len(self.edges)} edges)"
+
+
+def _index_lists(names, opposite, prefs, normalized):
+    """Each agent's tiers as opposite-side indices, and its 1-based rank map
+    in list order.  ``normalized`` receives the tiers as tuples of names.
+
+    A list maps in a few C-level passes over its entries.  One with a name
+    not on the opposite side, an empty tier or a repeated entry is checked
+    member by member instead, to raise the error for its first fault.
+    """
+    lookup = opposite.__getitem__
+    index_tiers, rank_maps = [], []
+    for name in names:
+        tiers = tuple(prefs.get(name, ()))
+        try:
+            tiers = tuple(map(tuple, tiers))
+            flat = list(map(lookup, chain.from_iterable(tiers)))
+            if len(flat) == len(tiers):  # one member per tier, unless one is empty
+                indices = [[p] for p in flat]
+                ranks = dict(zip(flat, count(1)))
+            else:
+                indices = list(map(list, map(map, repeat(lookup), tiers)))
+                sizes = map(len, tiers)
+                ranks = dict(zip(flat, chain.from_iterable(map(repeat, count(1), sizes))))
+            clean = all(tiers) and len(ranks) == len(flat)
+        except (KeyError, TypeError):
+            clean = False
+        if not clean:
+            _raise_first_bad_member(name, tiers, opposite)
+        normalized[name] = tiers
+        index_tiers.append(indices)
+        rank_maps.append(ranks)
+    return index_tiers, rank_maps
+
+
+def _raise_first_bad_member(name, tiers, opposite) -> None:
+    """Check ``name``'s rejected list member by member, in list order, and
+    raise a ValueError for its first fault."""
+    seen: set[str] = set()
+    for tier in tiers:
+        tier = tuple(tier)
+        if not tier:
+            raise ValueError(f"empty tier in {name!r}'s list")
+        for member in tier:
+            if member not in opposite:
+                raise ValueError(
+                    f"{name!r} lists {member!r}, which is not on the opposite side"
+                )
+            if member in seen:
+                raise ValueError(f"duplicate entry {member!r} in {name!r}'s list")
+            seen.add(member)
+    raise RuntimeError(f"{name!r}'s list rejected without a fault")
 
 
 # -- text format -----------------------------------------------------------
@@ -183,6 +228,13 @@ def parse_instance(text: str) -> Instance:
     preference line per agent: ``name: entry entry ...`` where an entry is a
     bare name or a tie group ``(a b c)``.  Agents without a preference line
     have an empty list.
+
+    Each preference line is checked by one full regex match, linear in its
+    length, and split in one call (``str.split`` without tie groups, one
+    ``findall`` with them); ``Instance`` then maps every list to indices in
+    a few C-level passes, so the cost is a small constant per list entry.
+    Only a line that fails its match is scanned token by token, to report
+    the first fault with its column.
     """
     men: list[str] | None = None
     women: list[str] | None = None
@@ -217,41 +269,19 @@ def parse_instance(text: str) -> Instance:
     if men is None or women is None:
         raise ParseError("missing men:/women: headers", last_line or 1)
 
-    prefs: dict[str, list[list[str]]] = {}
+    prefs: dict[str, tuple[tuple[str, ...], ...]] = {}
     for ln, agent, rest in pref_lines:
         if agent in prefs:
             raise ParseError(f"duplicate preference line for {agent!r}", ln)
-        tiers: list[list[str]] = []
-        group: list[str] | None = None
-        pos = 0
-        while pos < len(rest):
-            match = _TOKEN.match(rest, pos)
-            if match is None:
-                break
-            pos = match.end()
-            name, opener, closer, junk = match.groups()
-            col = match.start(match.lastindex) + 1 + len(agent) + 1
-            if junk is not None:
-                raise ParseError(f"unexpected character {junk!r}", ln, col)
-            if opener is not None:
-                if group is not None:
-                    raise ParseError("nested '(' in tie group", ln, col)
-                group = []
-            elif closer is not None:
-                if group is None:
-                    raise ParseError("')' without matching '('", ln, col)
-                if not group:
-                    raise ParseError("empty tie group", ln, col)
-                tiers.append(group)
-                group = None
-            else:
-                if group is None:
-                    tiers.append([name])
-                else:
-                    group.append(name)
-        if group is not None:
-            raise ParseError("unclosed '(' in tie group", ln)
-        prefs[agent] = tiers
+        if _PLAIN_LINE.fullmatch(rest):
+            prefs[agent] = tuple(zip(rest.split()))
+        elif _TIED_LINE.fullmatch(rest):
+            prefs[agent] = tuple(
+                tuple(group.split()) if group else (name,)
+                for group, name in _ENTRY.findall(rest)
+            )
+        else:
+            _raise_first_bad_token(rest, agent, ln)
 
     known = set(men) | set(women)
     for ln, agent, _ in pref_lines:
@@ -261,6 +291,37 @@ def parse_instance(text: str) -> Instance:
         return Instance(men, women, prefs)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+
+
+def _raise_first_bad_token(rest: str, agent: str, ln: int) -> None:
+    """Scan a rejected preference line token by token and raise a ParseError
+    for its first fault, with the column where the line has one."""
+    members: int | None = None  # names in the open tie group; None outside one
+    pos = 0
+    while pos < len(rest):
+        match = _TOKEN.match(rest, pos)
+        if match is None:
+            break
+        pos = match.end()
+        _, opener, closer, junk = match.groups()
+        col = match.start(match.lastindex) + 1 + len(agent) + 1
+        if junk is not None:
+            raise ParseError(f"unexpected character {junk!r}", ln, col)
+        if opener is not None:
+            if members is not None:
+                raise ParseError("nested '(' in tie group", ln, col)
+            members = 0
+        elif closer is not None:
+            if members is None:
+                raise ParseError("')' without matching '('", ln, col)
+            if not members:
+                raise ParseError("empty tie group", ln, col)
+            members = None
+        elif members is not None:
+            members += 1
+    if members is not None:
+        raise ParseError("unclosed '(' in tie group", ln)
+    raise RuntimeError(f"line {ln}: preference line rejected without a fault: {rest!r}")
 
 
 def serialize_instance(inst: Instance) -> str:

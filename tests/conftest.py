@@ -1,6 +1,9 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from superstable import (
     MEN,
@@ -8,6 +11,7 @@ from superstable import (
     SUPER,
     DualCertificate,
     Instance,
+    ParseError,
     Violation,
     blocking_edges,
     dominates,
@@ -139,6 +143,35 @@ def block_union(seed, n, tie_prob):
         women += [w + tag for w in block.women]
         for agent, tiers in block.prefs.items():
             prefs[agent + tag] = [[p + tag for p in tier] for tier in tiers]
+    return Instance(men, women, prefs)
+
+
+@st.composite
+def tied_halves(draw, tie_prob=0.1):
+    """Two complete halves of 2-3 men and women each, a few edges across,
+    and random tied lists: the halves' rotations are unordered, a poset
+    shape that random instances this small rarely have."""
+    sizes = [draw(st.sampled_from((3, 2))) for _ in range(2)]
+    men = [f"m{h}{i}" for h, k in enumerate(sizes) for i in range(k)]
+    women = [f"w{h}{i}" for h, k in enumerate(sizes) for i in range(k)]
+    pairs = [(m, w) for m in men for w in women]
+    edges = [(m, w) for m, w in pairs if m[1] == w[1]]
+    across = [(m, w) for m, w in pairs if m[1] != w[1]]
+    edges += draw(st.lists(st.sampled_from(across), unique=True, max_size=3))
+    # orders drawn element by element lean to sorted lists, whose instances
+    # have a single super-stable matching; a drawn seed keeps them random
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    prefs = {}
+    for agent in men + women:
+        listed = [w if agent == m else m for m, w in edges if agent in (m, w)]
+        rng.shuffle(listed)
+        tiers = []
+        for partner in listed:
+            if tiers and rng.random() < tie_prob:
+                tiers[-1].append(partner)
+            else:
+                tiers.append([partner])
+        prefs[agent] = tiers
     return Instance(men, women, prefs)
 
 
@@ -282,3 +315,180 @@ def self_dual_by_name(inst, point):
         raise RuntimeError(f"objective mismatch: primal {primal} != dual {dual}")
     beta = {edge: Fraction(x.get(edge, 0)) for edge in inst.edges}
     return DualCertificate(alpha, beta), primal, dual
+
+
+def covers_by_pairs(order):
+    """The Hasse diagram of ``order``: each pair tested against every element
+    below its top, the package's earlier ``IrreduciblePoset.covers``."""
+    below = {}
+    for i, j in order:
+        below.setdefault(j, set()).add(i)
+    out = []
+    for i, j in sorted(order):
+        if not any((i, k) in order for k in below.get(j, ())):
+            out.append((i, j))
+    return out
+
+
+# -- per-token references for the text -> Instance path -----------------------
+# These are the package's earlier ``parse_instance`` and ``Instance.__init__``,
+# which scan every preference line token by token and check every list member
+# by name.  The differential tests compare the index-space build with them.
+
+_REF_NAME = re.compile(r"[A-Za-z0-9_]+\Z")
+_REF_TOKEN = re.compile(r"\s*(?:([A-Za-z0-9_]+)|(\()|(\))|(\S))")
+
+
+def reference_instance(men, women, prefs):
+    """An ``Instance`` whose slots are filled by the per-member build."""
+    inst = Instance.__new__(Instance)
+    inst.men = tuple(men)
+    inst.women = tuple(women)
+    for name in inst.men + inst.women:
+        if not _REF_NAME.match(name):
+            raise ValueError(f"bad agent name {name!r}")
+    if len(set(inst.men)) != len(inst.men):
+        raise ValueError("duplicate name on the men side")
+    if len(set(inst.women)) != len(inst.women):
+        raise ValueError("duplicate name on the women side")
+    overlap = set(inst.men) & set(inst.women)
+    if overlap:
+        raise ValueError(f"name declared on both sides: {sorted(overlap)[0]}")
+
+    known = set(inst.men) | set(inst.women)
+    for name in prefs:
+        if name not in known:
+            raise ValueError(f"preferences given for unknown agent {name!r}")
+
+    normalized = {}
+    mset, wset = set(inst.men), set(inst.women)
+    for name in inst.men + inst.women:
+        opposite = wset if name in mset else mset
+        tiers = []
+        seen = set()
+        for tier in prefs.get(name, ()):
+            tier = tuple(tier)
+            if not tier:
+                raise ValueError(f"empty tier in {name!r}'s list")
+            for member in tier:
+                if member not in opposite:
+                    raise ValueError(
+                        f"{name!r} lists {member!r}, which is not on the opposite side"
+                    )
+                if member in seen:
+                    raise ValueError(f"duplicate entry {member!r} in {name!r}'s list")
+                seen.add(member)
+            tiers.append(tier)
+        normalized[name] = tuple(tiers)
+    inst.prefs = normalized
+
+    inst._midx = {m: i for i, m in enumerate(inst.men)}
+    inst._widx = {w: j for j, w in enumerate(inst.women)}
+    inst._man_tiers = [
+        [[inst._widx[w] for w in tier] for tier in normalized[m]] for m in inst.men
+    ]
+    inst._woman_tiers = [
+        [[inst._midx[m] for m in tier] for tier in normalized[w]] for w in inst.women
+    ]
+    inst._man_rank = [
+        {w: t + 1 for t, tier in enumerate(tiers) for w in tier}
+        for tiers in inst._man_tiers
+    ]
+    inst._woman_rank = [
+        {m: t + 1 for t, tier in enumerate(tiers) for m in tier}
+        for tiers in inst._woman_tiers
+    ]
+    for names, others, ranks, back in (
+        (inst.men, inst.women, inst._man_rank, inst._woman_rank),
+        (inst.women, inst.men, inst._woman_rank, inst._man_rank),
+    ):
+        for i, listed in enumerate(ranks):
+            for j in listed:
+                if i not in back[j]:
+                    raise ValueError(
+                        f"non-mutual listing: {names[i]!r} lists {others[j]!r}"
+                        " but not vice versa"
+                    )
+    inst.edges = tuple((m, w) for m in inst.men for tier in normalized[m] for w in tier)
+    return inst
+
+
+def reference_parse_instance(text):
+    """``parse_instance`` by a per-token scan of every preference line."""
+    men = None
+    women = None
+    pref_lines = []
+    last_line = 0
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        last_line = ln
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise ParseError("expected '<name>: ...'", ln)
+        label, _, rest = line.partition(":")
+        label = label.strip()
+        if not _REF_NAME.match(label):
+            raise ParseError(f"bad name {label!r}", ln)
+        if men is None:
+            if label != "men":
+                raise ParseError("first line must be the 'men:' header", ln)
+            men = rest.split()
+            if not men:
+                raise ParseError("empty side: no men declared", ln)
+            continue
+        if women is None:
+            if label != "women":
+                raise ParseError("second line must be the 'women:' header", ln)
+            women = rest.split()
+            if not women:
+                raise ParseError("empty side: no women declared", ln)
+            continue
+        pref_lines.append((ln, label, rest))
+    if men is None or women is None:
+        raise ParseError("missing men:/women: headers", last_line or 1)
+
+    prefs = {}
+    for ln, agent, rest in pref_lines:
+        if agent in prefs:
+            raise ParseError(f"duplicate preference line for {agent!r}", ln)
+        tiers = []
+        group = None
+        pos = 0
+        while pos < len(rest):
+            match = _REF_TOKEN.match(rest, pos)
+            if match is None:
+                break
+            pos = match.end()
+            name, opener, closer, junk = match.groups()
+            col = match.start(match.lastindex) + 1 + len(agent) + 1
+            if junk is not None:
+                raise ParseError(f"unexpected character {junk!r}", ln, col)
+            if opener is not None:
+                if group is not None:
+                    raise ParseError("nested '(' in tie group", ln, col)
+                group = []
+            elif closer is not None:
+                if group is None:
+                    raise ParseError("')' without matching '('", ln, col)
+                if not group:
+                    raise ParseError("empty tie group", ln, col)
+                tiers.append(group)
+                group = None
+            else:
+                if group is None:
+                    tiers.append([name])
+                else:
+                    group.append(name)
+        if group is not None:
+            raise ParseError("unclosed '(' in tie group", ln)
+        prefs[agent] = tiers
+
+    known = set(men) | set(women)
+    for ln, agent, _ in pref_lines:
+        if agent not in known:
+            raise ParseError(f"unknown agent name {agent!r}", ln)
+    try:
+        return reference_instance(men, women, prefs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None

@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from superstable import (
     Instance,
+    IrreduciblePoset,
     NoSuperStableMatching,
     build_poset,
     irreducible_poset,
@@ -16,7 +17,13 @@ from superstable import (
     serialize_instance,
 )
 from superstable.oracle import brute_stable_set, has_blocking_edge
-from conftest import block_union, man_optimal_of, per_edge_optimum
+from conftest import (
+    block_union,
+    covers_by_pairs,
+    man_optimal_of,
+    per_edge_optimum,
+    tied_halves,
+)
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
 MZ_I1 = frozenset({("a", "y"), ("b", "x")})
@@ -231,42 +238,34 @@ def test_irreducible_family_laws_at_scale():
             if a.pairs < b.pairs
         }
         assert poset.order == containment, seed
+        assert poset.covers() == covers_by_pairs(poset.order), seed
 
 
-@st.composite
-def small_tied_instances(draw):
-    """Two complete halves of 2-3 men and women each, a few edges across,
-    and random tied lists: the halves' rotations are unordered, a poset
-    shape that random instances this small rarely have."""
-    sizes = [draw(st.sampled_from((3, 2))) for _ in range(2)]
-    men = [f"m{h}{i}" for h, k in enumerate(sizes) for i in range(k)]
-    women = [f"w{h}{i}" for h, k in enumerate(sizes) for i in range(k)]
-    pairs = [(m, w) for m in men for w in women]
-    edges = [(m, w) for m, w in pairs if m[1] == w[1]]
-    across = [(m, w) for m, w in pairs if m[1] != w[1]]
-    edges += draw(st.lists(st.sampled_from(across), unique=True, max_size=3))
-    # orders drawn element by element lean to sorted lists, whose instances
-    # have a single super-stable matching; a drawn seed keeps them random
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    prefs = {}
-    for agent in men + women:
-        listed = [w if agent == m else m for m, w in edges if agent in (m, w)]
-        rng.shuffle(listed)
-        tiers = []
-        for partner in listed:
-            if tiers and rng.random() < 0.1:
-                tiers[-1].append(partner)
-            else:
-                tiers.append([partner])
-        prefs[agent] = tiers
-    return Instance(men, women, prefs)
+def test_covers_match_pairwise_reference():
+    rng = random.Random(47_100)
+    orders = [frozenset((i, j) for j in range(200) for i in range(j))]  # a 200-chain
+    for _ in range(60):
+        k = rng.randint(1, 30)
+        arcs = {(i, j) for j in range(k) for i in range(j) if rng.random() < 0.15}
+        closure = set(arcs)
+        for j in range(k):  # arcs run forward, so one pass closes them
+            for i in range(j):
+                if (i, j) in closure:
+                    closure |= {(h, j) for h in range(i) if (h, i) in closure}
+        orders += [frozenset(closure), frozenset(arcs)]
+    for order in orders:
+        assert IrreduciblePoset((), order).covers() == covers_by_pairs(order)
+    assert IrreduciblePoset((), orders[0]).covers() == [(i, i + 1) for i in range(199)]
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(small_tied_instances())
+@given(tied_halves())
 def test_optimal_with_edge_property(inst):
     stable = brute_stable_set(inst, max_edges=21)
     for edge in inst.edges:
         containing = [m for m in stable if edge in m]
         expected = man_optimal_of(inst, containing)
         assert optimal_with_edge(inst, edge) == expected, (edge, serialize_instance(inst))
+    if stable:
+        poset = irreducible_poset(inst)
+        assert poset.covers() == covers_by_pairs(poset.order), serialize_instance(inst)

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from superstable import (
@@ -8,7 +11,14 @@ from superstable import (
     random_instance,
     serialize_instance,
 )
-from conftest import I1_TEXT, I2_TEXT, NON_MUTUAL_TEXT, swap_sides
+from conftest import (
+    I1_TEXT,
+    I2_TEXT,
+    NON_MUTUAL_TEXT,
+    reference_instance,
+    reference_parse_instance,
+    swap_sides,
+)
 
 
 def test_parse_i1(i1):
@@ -173,3 +183,180 @@ def test_weights_file(i1):
         load_weights(i1, "a x 1/0\n")
     with pytest.raises(ParseError, match="bad rational"):
         load_weights(i1, "a x one\n")
+
+
+# -- the index-space build against the per-token reference --------------------
+
+
+def _plain(value):
+    """A slot value with every dict turned into its item list, so that
+    comparing two values also compares the dicts' iteration order."""
+    if isinstance(value, dict):
+        return [(k, _plain(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    return value
+
+
+def _outcome(build, *args):
+    """Every slot of the built instance, or the error's type, text and place."""
+    try:
+        inst = build(*args)
+    except ValueError as exc:
+        where = (exc.line, exc.column) if isinstance(exc, ParseError) else None
+        return type(exc), str(exc), where
+    return {slot: _plain(getattr(inst, slot)) for slot in Instance.__slots__}
+
+
+def _valid_text(rng):
+    """A seeded instance written with the format's optional freedoms: tie
+    groups around single names, mixed whitespace, groups glued to their
+    neighbours, comments, blank lines, empty and missing lines, any order."""
+    inst = random_instance(
+        rng.randint(1, 5),
+        rng.randint(1, 5),
+        rng.choice([0.0, 0.3, 0.7, 1.0]),
+        rng.choice([0.0, 0.3, 0.8]),
+        seed=rng.randrange(10**6),
+    )
+    gap = lambda: rng.choice([" ", "  ", "\t", " \t "])  # noqa: E731
+    lines = ["# generated", f"men:{gap()}{gap().join(inst.men)}"]
+    lines.append(f"{rng.choice(['', ' '])}women:{gap()}{gap().join(inst.women)}")
+    agents = list(inst.men + inst.women)
+    rng.shuffle(agents)
+    for name in agents:
+        tiers = inst.prefs[name]
+        if not tiers and rng.random() < 0.5:
+            continue
+        entries = [
+            tier[0] if len(tier) == 1 and rng.random() < 0.7
+            else "(" + gap() * (rng.random() < 0.3) + gap().join(tier) + ")"
+            for tier in tiers
+        ]
+        body = ""
+        for k, entry in enumerate(entries):
+            glue = "(" in entry or (k and "(" in entries[k - 1])
+            body += ("" if glue and rng.random() < 0.5 else gap()) if k else ""
+            body += entry
+        label = name + rng.choice(["", " "])
+        line = f"{label}:{gap() if body else ''}{body}"
+        if rng.random() < 0.2:
+            line += gap() + "# note ( ) !"
+        lines.append(line)
+        if rng.random() < 0.15:
+            lines.append(rng.choice(["", "   ", "# comment"]))
+    return "\n".join(lines) + "\n", inst
+
+
+def _malformed_text(rng, text, inst):
+    """``text`` with one character deleted, inserted or swapped, or with a
+    paren, a duplicate, an unknown name or a one-sided listing added."""
+    lines = text.splitlines()
+    pref = [k for k, line in enumerate(lines) if k > 2 and line and line[0] != "#"]
+    kind = rng.randrange(8)
+    pos = rng.randrange(len(text))
+    if kind == 0:
+        return text[:pos] + text[pos + 1:]
+    if kind == 1:
+        return text[:pos] + rng.choice("()ab_xm1#:! \t\n") + text[pos:]
+    if kind == 2 and pos + 1 < len(text):
+        return text[:pos] + text[pos + 1] + text[pos] + text[pos + 2:]
+    if not pref:
+        return text + rng.choice(["x: (", "(", ")", "m1 w1"]) + "\n"
+    k = rng.choice(pref)
+    if kind == 3:
+        cut = rng.randrange(len(lines[k]) + 1)
+        lines[k] = lines[k][:cut] + rng.choice("()") + lines[k][cut:]
+    elif kind == 4:
+        lines.insert(rng.randrange(3, len(lines) + 1), lines[k])
+    elif kind == 5:
+        lines[k] += rng.choice([" zz", " (zz q)", " m1", " w1"])
+    elif kind == 6:
+        # list a partner twice, or one who does not list back
+        name = lines[k].split(":")[0].strip()
+        others = inst.women if name in inst.men else inst.men
+        lines[k] += " " + rng.choice(others)
+    else:
+        # drop one listed name, which leaves the partner's listing one-sided
+        words = lines[k].split(" ")
+        if len(words) > 1:
+            del words[rng.randrange(1, len(words))]
+        lines[k] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_matches_per_token_reference():
+    rng = random.Random(4107)
+    outcomes = {"ok": 0, "error": 0}
+    for _ in range(400):
+        text, inst = _valid_text(rng)
+        got = _outcome(parse_instance, text)
+        assert got == _outcome(reference_parse_instance, text), text
+        assert got == _outcome(lambda t: inst, text), text
+        for _ in range(3):
+            broken = _malformed_text(rng, text, inst)
+            got = _outcome(parse_instance, broken)
+            assert got == _outcome(reference_parse_instance, broken), broken
+            outcomes["error" if isinstance(got, tuple) else "ok"] += 1
+    # the mutations reach both outcomes, and errors with a column
+    assert outcomes["ok"] > 100 and outcomes["error"] > 600
+
+
+def test_constructor_matches_per_member_reference():
+    rng = random.Random(4108)
+    faults = [
+        lambda tiers, other: tiers + [["q"]],  # unknown name
+        lambda tiers, other: tiers + [[]],  # empty tier
+        lambda tiers, other: tiers + [[rng.choice(other)]],  # duplicate or one-sided
+        lambda tiers, other: [[]] + tiers + [["q"]],  # the earlier fault wins
+        lambda tiers, other: tiers + [[["x"]]],  # unhashable member
+        lambda tiers, other: [tier[::-1] for tier in tiers][::-1],  # still valid
+    ]
+    for _ in range(300):
+        inst = random_instance(rng.randint(1, 5), rng.randint(1, 5), 0.7, 0.4, rng.randrange(10**6))
+        prefs = {name: [list(tier) for tier in inst.prefs[name]] for name in inst.prefs}
+        name = rng.choice(inst.men + inst.women)
+        other = inst.women if name in inst.men else inst.men
+        try:
+            prefs[name] = rng.choice(faults)(prefs[name], other)
+            want = _outcome(reference_instance, inst.men, inst.women, prefs)
+        except TypeError:
+            with pytest.raises(TypeError):
+                Instance(inst.men, inst.women, prefs)
+            continue
+        # tiers given as one-shot iterators build the same instance
+        lazy = {k: iter([iter(tier) for tier in tiers]) for k, tiers in prefs.items()}
+        assert _outcome(Instance, inst.men, inst.women, lazy) == want
+        assert _outcome(Instance, inst.men, inst.women, prefs) == want
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "(" + "x" * 20000,  # one unclosed tie group
+        "(" + "x " * 10000,
+        "x " * 20000 + "!",  # a 40,000-character line with a bad last character
+        "(x y) " * 6667 + "!",
+    ],
+)
+def test_rejected_long_lines_fail_in_linear_time(line):
+    text = f"men: a\nwomen: x\na: {line}\n"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ParseError) as want:
+        reference_parse_instance(text)
+    assert (str(err.value), err.value.line, err.value.column) == (
+        str(want.value), want.value.line, want.value.column
+    )
+
+
+def test_round_trip_at_scale():
+    for seed in range(3):
+        inst = random_instance(150, 150, 0.3, 0.4, seed=4200 + seed)
+        again = parse_instance(serialize_instance(inst))
+        assert again == inst and hash(again) == hash(inst)
+        assert again.edges == inst.edges
+        assert _outcome(lambda: again) == _outcome(lambda: inst)
+    assert again != random_instance(150, 150, 0.3, 0.4, seed=4199)

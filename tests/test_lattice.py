@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superstable import (
     SUPER,
@@ -21,7 +22,7 @@ from superstable import (
 )
 from superstable.lattice import _best_closure
 from superstable.oracle import brute_stable_set, has_blocking_edge
-from conftest import block_union
+from conftest import block_union, tied_halves
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
 MZ_I1 = frozenset({("a", "y"), ("b", "x")})
@@ -189,3 +190,29 @@ def test_long_chain_closed_subsets():
     subsets = list(closed_subsets(_long_chain(1500)))
     assert len(subsets) == 1501
     assert subsets[-1] == frozenset(range(1500))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from((0.1, 0.4)).flatmap(lambda p: tied_halves(tie_prob=p)), st.randoms())
+def test_join_meet_and_max_weight_property(inst, rng):
+    stable = brute_stable_set(inst, max_edges=21)
+    if stable:
+        a, b = rng.choice(stable), rng.choice(stable)
+        join, meet = join_meet(inst, a, b)
+        assert join in stable and meet in stable
+        assert join_meet(inst, b, a) == (join, meet)  # commutativity
+        assert join_meet(inst, a, meet)[0] == a  # absorption, both ways
+        assert join_meet(inst, a, join)[1] == a
+        assert join_meet(inst, a, a) == (a, a)  # idempotence
+        assert dominates(inst, join, a) and dominates(inst, a, meet)
+    weights = {e: Fraction(rng.randint(-4, 6), rng.randint(1, 3)) for e in inst.edges}
+    found = max_weight(inst, weights)
+    if not stable:
+        assert found is None
+        return
+    best, total = found
+
+    def worth(matching):
+        return sum((weights[e] for e in matching), Fraction(0))
+
+    assert best in stable and worth(best) == total == max(map(worth, stable))

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superstable import (
     MEN,
@@ -13,7 +14,7 @@ from superstable import (
 )
 from superstable import rotations
 from superstable.oracle import brute_stable_set, has_blocking_edge
-from conftest import man_optimal_of, oracle_chain
+from conftest import man_optimal_of, oracle_chain, tied_halves
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
 MZ_I1 = frozenset({("a", "y"), ("b", "x")})
@@ -273,3 +274,17 @@ def test_local_components_match_recomputation_sweep():
         _, replayed = _chain_of(inst, _CheckedChain)
         assert replayed == sequence, k
     assert checked >= 20
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from((0.1, 0.4)).flatmap(lambda p: tied_halves(tie_prob=p)))
+def test_maximal_sequence_property(inst):
+    chain = maximal_sequence(inst)
+    stable = brute_stable_set(inst, max_edges=21)
+    assert bool(chain) == bool(stable)
+    if chain:
+        assert chain[0] == optimal_super_stable(inst, MEN)
+        assert chain[-1] == optimal_super_stable(inst, WOMEN)
+        assert all(m in stable for m in chain)
+        for above, below in zip(chain, chain[1:]):
+            assert above != below and dominates(inst, above, below)
