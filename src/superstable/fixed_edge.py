@@ -145,28 +145,15 @@ class IrreduciblePoset:
     order: frozenset  # (i, j) with elements[i].pairs a proper subset of elements[j].pairs
 
     def covers(self) -> list[tuple[int, int]]:
-        """The Hasse diagram of the containment order, sorted.
-
-        ``below[j]`` is the bitset of the elements below j; i is covered by
-        j exactly when it lies below j but below none of j's lower elements.
-        """
-        below: dict[int, int] = {}
+        """The Hasse diagram of the containment order."""
+        below: dict[int, set[int]] = {}
         for i, j in self.order:
-            below[j] = below.get(j, 0) | 1 << i
+            below.setdefault(j, set()).add(i)
         out = []
-        for j, under in below.items():
-            through = 0
-            bits = under
-            while bits:
-                low = bits & -bits
-                through |= below.get(low.bit_length() - 1, 0)
-                bits ^= low
-            covered = under & ~through
-            while covered:
-                low = covered & -covered
-                out.append((low.bit_length() - 1, j))
-                covered ^= low
-        return sorted(out)
+        for i, j in sorted(self.order):
+            if not any((i, k) in self.order for k in below.get(j, ())):
+                out.append((i, j))
+        return out
 
 
 def irreducible_poset(inst: Instance) -> IrreduciblePoset:

@@ -176,9 +176,14 @@ def _index_lists(names, opposite, prefs, normalized):
     lookup = opposite.__getitem__
     index_tiers, rank_maps = [], []
     for name in names:
-        tiers = tuple(prefs.get(name, ()))
+        tiers: list[tuple] = []
         try:
-            tiers = tuple(map(tuple, tiers))
+            tiers.extend(map(tuple, prefs.get(name, ())))
+        except Exception:
+            # a fault in an earlier tier comes first, as in a member-by-member scan
+            _check_members(name, tiers, opposite)
+            raise
+        try:
             flat = list(map(lookup, chain.from_iterable(tiers)))
             if len(flat) == len(tiers):  # one member per tier, unless one is empty
                 indices = [[p] for p in flat]
@@ -191,19 +196,19 @@ def _index_lists(names, opposite, prefs, normalized):
         except (KeyError, TypeError):
             clean = False
         if not clean:
-            _raise_first_bad_member(name, tiers, opposite)
-        normalized[name] = tiers
+            _check_members(name, tiers, opposite)
+            raise RuntimeError(f"{name!r}'s list rejected without a fault")
+        normalized[name] = tuple(tiers)
         index_tiers.append(indices)
         rank_maps.append(ranks)
     return index_tiers, rank_maps
 
 
-def _raise_first_bad_member(name, tiers, opposite) -> None:
-    """Check ``name``'s rejected list member by member, in list order, and
-    raise a ValueError for its first fault."""
+def _check_members(name, tiers, opposite) -> None:
+    """Check ``name``'s tiers member by member, in list order, and raise a
+    ValueError for the first fault."""
     seen: set[str] = set()
     for tier in tiers:
-        tier = tuple(tier)
         if not tier:
             raise ValueError(f"empty tier in {name!r}'s list")
         for member in tier:
@@ -214,7 +219,6 @@ def _raise_first_bad_member(name, tiers, opposite) -> None:
             if member in seen:
                 raise ValueError(f"duplicate entry {member!r} in {name!r}'s list")
             seen.add(member)
-    raise RuntimeError(f"{name!r}'s list rejected without a fault")
 
 
 # -- text format -----------------------------------------------------------

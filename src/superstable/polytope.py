@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, inf, lcm
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .instance import Instance
@@ -45,9 +44,6 @@ def convex_combination(points, coefficients) -> dict:
     return combined
 
 
-_NO_ENTRIES = MappingProxyType({})
-
-
 def _tier_sums(inst: Instance, point):
     """The point in index space, scaled to integers, with per-agent sums.
 
@@ -57,9 +53,7 @@ def _tier_sums(inst: Instance, point):
     ``women[j][r]``) is scale times the agent's mass on tiers 1..r, so
     index r - 1 is the strictly-better mass at rank r and index -1 the
     vertex total.  ``negative`` lists, ascending, the men with a negative
-    entry.  Prefix sums are built only for the agents the point touches;
-    the rest share one read-only zero list and one empty row, so the cost is
-    O(|point|) plus one slot per tier of a touched agent.
+    entry.  Costs O(|point|) plus one slot per tier.
     """
     midx, widx = inst._midx, inst._widx
     man_rank, woman_rank = inst._man_rank, inst._woman_rank
@@ -75,28 +69,16 @@ def _tier_sums(inst: Instance, point):
             if q < 0:
                 negative.add(i)
     scale = lcm(*(q.denominator for _, _, q in entries))
-    # untouched agents share one all-zero prefix list and one empty row; no
-    # agent has more tiers than the other side has agents, so it is long enough
-    zero = [0] * (max(len(inst.men), len(inst.women)) + 1)
-    rows: list = [_NO_ENTRIES] * len(inst.men)
-    men = [zero] * len(inst.men)
-    women = [zero] * len(inst.women)
-    touched_men = {i for i, _, _ in entries}
-    touched_women = {j for _, j, _ in entries}
-    for i in touched_men:
-        rows[i] = {}
-        men[i] = [0] * (len(inst._man_tiers[i]) + 1)
-    for j in touched_women:
-        women[j] = [0] * (len(inst._woman_tiers[j]) + 1)
+    rows: list[dict[int, int]] = [{} for _ in inst.men]
+    men = [[0] * (len(tiers) + 1) for tiers in inst._man_tiers]
+    women = [[0] * (len(tiers) + 1) for tiers in inst._woman_tiers]
     for i, j, q in entries:
         v = q.numerator * (scale // q.denominator)
         rows[i][j] = v
         men[i][man_rank[i][j]] += v
         women[j][woman_rank[j][i]] += v
-    for i in touched_men:
-        men[i] = list(accumulate(men[i]))
-    for j in touched_women:
-        women[j] = list(accumulate(women[j]))
+    men = [list(accumulate(sums)) for sums in men]
+    women = [list(accumulate(sums)) for sums in women]
     return scale, rows, men, women, sorted(negative)
 
 

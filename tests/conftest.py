@@ -317,19 +317,6 @@ def self_dual_by_name(inst, point):
     return DualCertificate(alpha, beta), primal, dual
 
 
-def covers_by_pairs(order):
-    """The Hasse diagram of ``order``: each pair tested against every element
-    below its top, the package's earlier ``IrreduciblePoset.covers``."""
-    below = {}
-    for i, j in order:
-        below.setdefault(j, set()).add(i)
-    out = []
-    for i, j in sorted(order):
-        if not any((i, k) in order for k in below.get(j, ())):
-            out.append((i, j))
-    return out
-
-
 # -- per-token references for the text -> Instance path -----------------------
 # These are the package's earlier ``parse_instance`` and ``Instance.__init__``,
 # which scan every preference line token by token and check every list member

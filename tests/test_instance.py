@@ -202,7 +202,7 @@ def _outcome(build, *args):
     """Every slot of the built instance, or the error's type, text and place."""
     try:
         inst = build(*args)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         where = (exc.line, exc.column) if isinstance(exc, ParseError) else None
         return type(exc), str(exc), where
     return {slot: _plain(getattr(inst, slot)) for slot in Instance.__slots__}
@@ -310,6 +310,8 @@ def test_constructor_matches_per_member_reference():
         lambda tiers, other: tiers + [[rng.choice(other)]],  # duplicate or one-sided
         lambda tiers, other: [[]] + tiers + [["q"]],  # the earlier fault wins
         lambda tiers, other: tiers + [[["x"]]],  # unhashable member
+        lambda tiers, other: tiers + [5],  # a tier that is not iterable
+        lambda tiers, other: tiers + [["q"], 5],  # the unknown name comes first
         lambda tiers, other: [tier[::-1] for tier in tiers][::-1],  # still valid
     ]
     for _ in range(300):
@@ -317,17 +319,19 @@ def test_constructor_matches_per_member_reference():
         prefs = {name: [list(tier) for tier in inst.prefs[name]] for name in inst.prefs}
         name = rng.choice(inst.men + inst.women)
         other = inst.women if name in inst.men else inst.men
-        try:
-            prefs[name] = rng.choice(faults)(prefs[name], other)
-            want = _outcome(reference_instance, inst.men, inst.women, prefs)
-        except TypeError:
-            with pytest.raises(TypeError):
-                Instance(inst.men, inst.women, prefs)
-            continue
-        # tiers given as one-shot iterators build the same instance
-        lazy = {k: iter([iter(tier) for tier in tiers]) for k, tiers in prefs.items()}
-        assert _outcome(Instance, inst.men, inst.women, lazy) == want
+        prefs[name] = rng.choice(faults)(prefs[name], other)
+        want = _outcome(reference_instance, inst.men, inst.women, prefs)
         assert _outcome(Instance, inst.men, inst.women, prefs) == want
+        # tiers given as one-shot iterators build the same instance or fail alike
+        lazy = {
+            k: iter([iter(t) if isinstance(t, list) else t for t in tiers])
+            for k, tiers in prefs.items()
+        }
+        assert _outcome(Instance, inst.men, inst.women, lazy) == want
+    lazy = {"a": iter([iter(["q"]), 5])}
+    assert _outcome(Instance, ["a"], ["x"], lazy) == (
+        ValueError, "'a' lists 'q', which is not on the opposite side", None
+    )
 
 
 @pytest.mark.parametrize(
