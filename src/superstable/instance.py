@@ -120,13 +120,6 @@ class Instance:
 
     # -- basic queries ----------------------------------------------------
 
-    def side(self, name: str) -> str:
-        if name in self._midx:
-            return MEN
-        if name in self._widx:
-            return WOMEN
-        raise ValueError(f"unknown agent {name!r}")
-
     def is_edge(self, man: str, woman: str) -> bool:
         i, j = self._midx.get(man), self._widx.get(woman)
         return i is not None and j is not None and j in self._man_rank[i]

@@ -162,6 +162,9 @@ class _Chain(object):
     directed graph of traversed edges (matched pairs point woman-to-man,
     everything else man-to-woman), a candidate set holding each man's best
     viable next partner(s), and the untried remainder of every man's list.
+    Only the first two are stored.  The untried pool is read off the lists
+    and the current matching: ``untried[m]`` is the first tier of m's list
+    not yet tried, and ``dropped[w]`` the ranks w gave up to a tie.
     A man may only extend his reach while the strongly connected component
     he sits in has no traversed arc leaving it; once such a component
     carries a perfect candidate matching, swapping it in yields the next
@@ -192,10 +195,8 @@ class _Chain(object):
             self.match_m[midx[m]] = widx[w]
             self.match_w[widx[w]] = midx[m]
         self.last_m: list[int | None] = [None] * nm
-        self.last_w: list[int | None] = [None] * nw
         for m, w in last:
             self.last_m[midx[m]] = widx[w]
-            self.last_w[widx[w]] = midx[m]
         self.cand_m: list[set[int]] = [set() for _ in range(nm)]
         self.cand_w: list[set[int]] = [set() for _ in range(nw)]
         for m in range(nm):
@@ -206,29 +207,12 @@ class _Chain(object):
         # traversed arcs, from both ends
         self.trav_m: list[set[int]] = [set() for _ in range(nm)]
         self.trav_w: list[set[int]] = [set() for _ in range(nw)]
-        # the untried pool: the woman strictly below the man's current
-        # partner, the man weakly above hers.  Ties with the woman's partner
-        # stay in: they never become candidates, but traversing them welds
-        # their components together until the woman climbs strictly higher.
-        # Rotations re-prune so these bounds track the current matching.
-        self.pool_m: list[list[set[int]]] = [
-            [set() for _ in tiers] for tiers in inst._man_tiers
+        # the untried pool's state (see _pool_top)
+        self.untried = [
+            len(tiers) if w is None else self.mrank[m][w]
+            for m, (tiers, w) in enumerate(zip(inst._man_tiers, self.match_m))
         ]
-        self.pool_ptr = [0] * nm
-        self.pool_w: list[set[int]] = [set() for _ in range(nw)]
-        for m in range(nm):
-            w0 = self.match_m[m]
-            if w0 is None:
-                continue
-            own = self.mrank[m][w0]
-            for w, r in self.mrank[m].items():
-                if r <= own:
-                    continue
-                held = self.match_w[w]
-                if held is None or self.wrank[w][m] > self.wrank[w][held]:
-                    continue
-                self.pool_m[m][r - 1].add(w)
-                self.pool_w[w].add(m)
+        self.dropped: list[set[int]] = [set() for _ in range(nw)]
         # vertices: men 0..nm-1, then women.  A component is named after one
         # of its vertices.  With nothing traversed the only arcs are
         # woman-to-partner ones, so every vertex stands alone.
@@ -307,17 +291,31 @@ class _Chain(object):
 
     # -- pools
 
-    def _pool_top(self, m: int):
-        tiers = self.pool_m[m]
-        i = self.pool_ptr[m]
-        while i < len(tiers) and not tiers[i]:
-            i += 1
-        self.pool_ptr[m] = i
-        return tiers[i] if i < len(tiers) else None
+    def _pool_top(self, m: int) -> list[int]:
+        """The untried women of m's first tier that has any, in index order.
 
-    def _pool_discard(self, m: int, w: int) -> None:
-        self.pool_m[m][self.mrank[m][w] - 1].discard(w)
-        self.pool_w[w].discard(m)
+        A woman is untried while she has a partner, ranks m no worse than
+        him and has not dropped m's rank.  Ties with her partner stay in:
+        they never become candidates, but traversing them welds their
+        components together until she climbs strictly higher.  Women only
+        climb, men only descend and drops only accumulate, so each test
+        once failed stays failed, and a skipped tier stays empty.
+        """
+        tiers = self.inst._man_tiers[m]
+        wrank, match_w, dropped = self.wrank, self.match_w, self.dropped
+        for i in range(self.untried[m], len(tiers)):
+            women = [
+                w
+                for w in tiers[i]
+                if match_w[w] is not None
+                and wrank[w][m] <= wrank[w][match_w[w]]
+                and wrank[w][m] not in dropped[w]
+            ]
+            if women:
+                self.untried[m] = i
+                return sorted(women)
+        self.untried[m] = len(tiers)
+        return []
 
     def _cand_discard(self, m: int, w: int) -> None:
         # the traversed arc stays: dropped candidates still tie their
@@ -329,14 +327,9 @@ class _Chain(object):
 
     def _advance(self, m: int) -> bool:
         """One tier step for man m; True if any state changed."""
-        tier = self._pool_top(m)
-        if tier is None:
+        women = self._pool_top(m)
+        if not women:
             return False
-        women = sorted(tier)
-        for w in women:
-            held = self.match_w[w]
-            if held is None or self.wrank[w][m] > self.wrank[w][held]:
-                raise RuntimeError("untried pool lost its improvement invariant")
         acted = False
         for w in women:
             if w not in self.trav_m[m]:
@@ -346,8 +339,7 @@ class _Chain(object):
             eligible = [
                 w for w in women if self.wrank[w][m] < self.wrank[w][self.match_w[w]]
             ]
-            for w in women:
-                self._pool_discard(m, w)
+            self.untried[m] += 1
             for w in eligible:
                 self.cand_m[m].add(w)
                 self.cand_w[w].add(m)
@@ -390,11 +382,9 @@ class _Chain(object):
             ranks = {self.wrank[w][m] for m in self.cand_w[w]}
             if len(ranks) != 1:
                 raise RuntimeError("surviving candidates of one woman are not tied")
-            rank = ranks.pop()
+            self.dropped[w].add(ranks.pop())
             for m in sorted(self.cand_w[w]):
                 self._cand_discard(m, w)
-            for m in [m for m in sorted(self.pool_w[w]) if self.wrank[w][m] == rank]:
-                self._pool_discard(m, w)
             return True
         return False
 
@@ -474,21 +464,11 @@ class _Chain(object):
                 members[v] = [v]
                 self._outdeg[v] = 0
             self.rebuilds += 1
-            # keep the untried pool aligned with the new partners: drop what
-            # the man weakly prefers to his partner and every man the woman
-            # now strictly prefers her partner to
-            for m in group_men:
-                landed = self.mrank[m][self.match_m[m]]
-                for i in range(landed):
-                    for w in list(self.pool_m[m][i]):
-                        self._pool_discard(m, w)
-            for w in group_women:
-                landed = self.wrank[w][self.match_w[w]]
-                for m in [x for x in self.pool_w[w] if self.wrank[w][x] > landed]:
-                    self._pool_discard(m, w)
+            # untried positions stay: each man took his new partner from
+            # his first untried tier and then stepped past that tier
             for m in sorted(group_men):
                 w = self.match_m[m]
-                if w is not None and w == self.last_m[m]:
+                if w == self.last_m[m]:
                     self.cand_m[m].add(w)
                     self.cand_w[w].add(m)
             return True

@@ -107,75 +107,63 @@ def _propose_and_delete(inst: Instance, side: str):
     holding proposals from tied agents has that whole tie tier deleted.
     Runs until proposals stabilize, then the engagements must form a
     matching, returned as (man, woman) pairs.
+
+    Every deletion cuts a suffix of the receiver's list, so the live pairs
+    are read off the lists: ``bottom[r]`` is the worst rank r still accepts,
+    and a pair lives while the proposer's rank there is within it.  Each
+    proposer's ``head`` is its first tier with a live pair.
     """
     if side == MEN:
-        prop_tiers, recv_tiers = inst._man_tiers, inst._woman_tiers
-        prop_rank, recv_rank = inst._man_rank, inst._woman_rank
+        prop_tiers, recv_tiers, recv_rank = inst._man_tiers, inst._woman_tiers, inst._woman_rank
     else:
-        prop_tiers, recv_tiers = inst._woman_tiers, inst._man_tiers
-        prop_rank, recv_rank = inst._woman_rank, inst._man_rank
+        prop_tiers, recv_tiers, recv_rank = inst._woman_tiers, inst._man_tiers, inst._man_rank
     n_prop, n_recv = len(prop_tiers), len(recv_tiers)
-    alive_p = [set(r) for r in prop_rank]
-    alive_r = [set(r) for r in recv_rank]
     head = [0] * n_prop
-    bottom = [len(t) - 1 for t in recv_tiers]
+    bottom = [len(t) for t in recv_tiers]
     eng_p: list[set[int]] = [set() for _ in range(n_prop)]
     eng_r: list[set[int]] = [set() for _ in range(n_recv)]
     queue = deque(range(n_prop))
 
-    def delete_pair(p: int, r: int) -> None:
-        alive_p[p].discard(r)
-        alive_r[r].discard(p)
-        if r in eng_p[p]:
-            eng_p[p].discard(r)
-            eng_r[r].discard(p)
-            if not eng_p[p]:
-                queue.append(p)
-
-    def delete_tier(r: int, tier_index: int) -> None:
-        for p in list(recv_tiers[r][tier_index]):
-            if p in alive_r[r]:
-                delete_pair(p, r)
+    def cut(r: int, rank: int) -> None:
+        """Delete r's tiers from ``rank`` down, in list order."""
+        for tier in recv_tiers[r][rank - 1 : bottom[r]]:
+            for p in tier:
+                if p in eng_r[r]:
+                    eng_r[r].discard(p)
+                    eng_p[p].discard(r)
+                    if not eng_p[p]:
+                        queue.append(p)
+        bottom[r] = rank - 1
 
     while True:
         while queue:
             p = queue.popleft()
             if eng_p[p]:
                 continue
-            while head[p] < len(prop_tiers[p]):
-                if any(r in alive_p[p] for r in prop_tiers[p][head[p]]):
+            tiers = prop_tiers[p]
+            while head[p] < len(tiers):
+                live = [r for r in tiers[head[p]] if recv_rank[r][p] <= bottom[r]]
+                if live:
                     break
                 head[p] += 1
             else:
                 continue
-            for r in prop_tiers[p][head[p]]:
-                if r not in alive_p[p]:
-                    continue
+            for r in live:
                 eng_p[p].add(r)
                 eng_r[r].add(p)
-                rank = recv_rank[r][p]
                 # drop everything r likes strictly less than p
-                # (0-based tier index >= rank means 1-based rank > rank)
-                while bottom[r] >= rank:
-                    delete_tier(r, bottom[r])
-                    bottom[r] -= 1
-                while bottom[r] >= 0 and not any(
-                    x in alive_r[r] for x in recv_tiers[r][bottom[r]]
-                ):
-                    bottom[r] -= 1
+                rank = recv_rank[r][p]
+                if bottom[r] > rank:
+                    cut(r, rank + 1)
         resolved = True
         for r in range(n_recv):
             if len(eng_r[r]) < 2:
                 continue
             resolved = False
-            ranks = {recv_rank[r][p] for p in eng_r[r]}
-            if len(ranks) != 1:
-                raise RuntimeError("engagements of one agent are not tied (internal error)")
-            delete_tier(r, ranks.pop() - 1)
-            while bottom[r] >= 0 and not any(
-                x in alive_r[r] for x in recv_tiers[r][bottom[r]]
-            ):
-                bottom[r] -= 1
+            # tied engagements fill r's bottom tier, so one cut deletes it
+            if any(recv_rank[r][p] != bottom[r] for p in eng_r[r]):
+                raise RuntimeError("engagements off the receiver's bottom tier (internal error)")
+            cut(r, bottom[r])
         if resolved:
             break
 

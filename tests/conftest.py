@@ -1,5 +1,6 @@
 import random
 import re
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -479,3 +480,92 @@ def reference_parse_instance(text):
         return reference_instance(men, women, prefs)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+
+
+# -- edge-set reference for the proposal/deletion solver ----------------------
+# This is the package's earlier ``_propose_and_delete``, which keeps every
+# live pair in a set per agent and deletes pairs one at a time.  The solver's
+# differential test compares the list-position form with it.
+
+
+def reference_propose_and_delete(inst, side):
+    """Extended proposal/deletion rounds over explicit live-pair sets;
+    returns the engagement matching as (man, woman) pairs, or None."""
+    if side == MEN:
+        prop_tiers, recv_tiers = inst._man_tiers, inst._woman_tiers
+        prop_rank, recv_rank = inst._man_rank, inst._woman_rank
+    else:
+        prop_tiers, recv_tiers = inst._woman_tiers, inst._man_tiers
+        prop_rank, recv_rank = inst._woman_rank, inst._man_rank
+    n_prop, n_recv = len(prop_tiers), len(recv_tiers)
+    alive_p = [set(r) for r in prop_rank]
+    alive_r = [set(r) for r in recv_rank]
+    head = [0] * n_prop
+    bottom = [len(t) - 1 for t in recv_tiers]
+    eng_p = [set() for _ in range(n_prop)]
+    eng_r = [set() for _ in range(n_recv)]
+    queue = deque(range(n_prop))
+
+    def delete_pair(p, r):
+        alive_p[p].discard(r)
+        alive_r[r].discard(p)
+        if r in eng_p[p]:
+            eng_p[p].discard(r)
+            eng_r[r].discard(p)
+            if not eng_p[p]:
+                queue.append(p)
+
+    def delete_tier(r, tier_index):
+        for p in list(recv_tiers[r][tier_index]):
+            if p in alive_r[r]:
+                delete_pair(p, r)
+
+    while True:
+        while queue:
+            p = queue.popleft()
+            if eng_p[p]:
+                continue
+            while head[p] < len(prop_tiers[p]):
+                if any(r in alive_p[p] for r in prop_tiers[p][head[p]]):
+                    break
+                head[p] += 1
+            else:
+                continue
+            for r in prop_tiers[p][head[p]]:
+                if r not in alive_p[p]:
+                    continue
+                eng_p[p].add(r)
+                eng_r[r].add(p)
+                rank = recv_rank[r][p]
+                while bottom[r] >= rank:
+                    delete_tier(r, bottom[r])
+                    bottom[r] -= 1
+                while bottom[r] >= 0 and not any(
+                    x in alive_r[r] for x in recv_tiers[r][bottom[r]]
+                ):
+                    bottom[r] -= 1
+        resolved = True
+        for r in range(n_recv):
+            if len(eng_r[r]) < 2:
+                continue
+            resolved = False
+            ranks = {recv_rank[r][p] for p in eng_r[r]}
+            if len(ranks) != 1:
+                raise RuntimeError("engagements of one agent are not tied (internal error)")
+            delete_tier(r, ranks.pop() - 1)
+            while bottom[r] >= 0 and not any(
+                x in alive_r[r] for x in recv_tiers[r][bottom[r]]
+            ):
+                bottom[r] -= 1
+        if resolved:
+            break
+
+    proposers, receivers = (inst.men, inst.women) if side == MEN else (inst.women, inst.men)
+    pairs = []
+    for p in range(n_prop):
+        if len(eng_p[p]) > 1:
+            return None
+        if eng_p[p]:
+            pair = (proposers[p], receivers[next(iter(eng_p[p]))])
+            pairs.append(pair if side == MEN else pair[::-1])
+    return frozenset(pairs)

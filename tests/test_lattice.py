@@ -186,6 +186,34 @@ def test_best_closure_prefers_the_smallest_optimum():
     assert _best_closure([Fraction(0)] * 3, set()) == set()
 
 
+def test_best_closure_matches_brute_force_on_random_dags():
+    # every down-closed subset of random dense DAGs with small rational
+    # values, zeros included: the cut must reach the maximum value with the
+    # inclusion-minimal optimum, the intersection of all optimal closures
+    rng = random.Random(2024)
+    choices = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)]
+    for k in range(600):
+        n = 1 + k % 12
+        density = (0.3, 0.6)[k // 12 % 2]
+        arcs = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density}
+        values = [rng.choice(choices) for _ in range(n)]
+        preds = [sum(1 << i for i, j in arcs if j == v) for v in range(n)]
+        best, minimal = None, None
+        for subset in range(1 << n):
+            if any(subset >> v & 1 and preds[v] & ~subset for v in range(n)):
+                continue
+            value = sum((values[v] for v in range(n) if subset >> v & 1), Fraction(0))
+            if best is None or value > best:
+                best, minimal = value, subset
+            elif value == best:
+                minimal &= subset
+        chosen = _best_closure(values, arcs)
+        mask = sum(1 << v for v in chosen)
+        assert not any(preds[v] & ~mask for v in chosen), k
+        assert sum((values[v] for v in chosen), Fraction(0)) == best, k
+        assert mask == minimal, k
+
+
 def test_long_chain_closed_subsets():
     subsets = list(closed_subsets(_long_chain(1500)))
     assert len(subsets) == 1501

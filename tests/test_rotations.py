@@ -241,7 +241,8 @@ def _components_from_scratch(chain):
 
 
 class _CheckedChain(rotations._Chain):
-    """Compares the locally kept components with a recomputation at every step."""
+    """Compares the locally kept components with a recomputation at every
+    step, and checks that each man's untried tiers lie below his partner."""
 
     def _check(self):
         blocks: dict[int, set] = {}
@@ -250,6 +251,8 @@ class _CheckedChain(rotations._Chain):
         assert {c: set(g) for c, g in self._members.items()} == blocks
         mine = {frozenset(g): self._outdeg[c] for c, g in blocks.items()}
         assert mine == _components_from_scratch(self)
+        for m, w in enumerate(self.match_m):
+            assert w is None or self.untried[m] >= self.mrank[m][w]
 
     def _add_arc(self, m, w):
         super()._add_arc(m, w)
@@ -274,6 +277,33 @@ def test_local_components_match_recomputation_sweep():
         _, replayed = _chain_of(inst, _CheckedChain)
         assert replayed == sequence, k
     assert checked >= 20
+
+
+@pytest.mark.parametrize(
+    "tie_prob, seed",
+    [(0.1, 71167), (0.1, 71370), (0.1, 73705), (0.1, 75657), (0.2, 71370), (0.2, 72206)],
+)
+def test_chain_drops_tied_candidates(tie_prob, seed):
+    # a woman left holding tied candidates in a closed component gives up
+    # their whole rank; these instances reach that branch
+    from superstable import enumerate_all
+
+    inst = random_instance(5, 5, 1.0, tie_prob, seed=seed)
+    chain, sequence = _chain_of(inst)
+    assert any(chain.dropped)
+    assert sequence == maximal_sequence(inst)
+    stable = brute_stable_set(inst, max_edges=25)
+    assert all(m in stable for m in sequence)
+    assert sequence[0] == man_optimal_of(inst, stable)
+    for above, below in zip(sequence, sequence[1:]):
+        assert above != below and dominates(inst, above, below)
+        assert not any(
+            dominates(inst, above, other) and dominates(inst, other, below)
+            for other in stable
+            if other not in (above, below)
+        )
+    enumerated = list(enumerate_all(inst))
+    assert set(enumerated) == set(stable) and len(enumerated) == len(stable)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

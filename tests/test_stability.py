@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from superstable import (
+    Instance,
     MEN,
     STRONG,
     SUPER,
@@ -13,7 +16,14 @@ from superstable import (
     validate_matching,
 )
 from superstable.oracle import brute_stable_set
-from conftest import man_optimal_of, swap_sides, transpose_pairs
+from superstable.stability import _propose_and_delete
+from conftest import (
+    block_union,
+    man_optimal_of,
+    reference_propose_and_delete,
+    swap_sides,
+    transpose_pairs,
+)
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
 MZ_I1 = frozenset({("a", "y"), ("b", "x")})
@@ -140,3 +150,54 @@ def test_super_implies_strong_sweep():
         mine = optimal_super_stable(inst, MEN)
         if mine is not None:
             assert blocking_edges(inst, mine, STRONG) == frozenset(), k
+
+
+def _reference_optimum(inst, side):
+    found = reference_propose_and_delete(inst, side)
+    return None if found is None or blocking_edges(inst, found, SUPER) else found
+
+
+def merged_tiers(seed, n, trials):
+    """A strict random instance whose adjacent tiers are merged one pair at a
+    time, each merge kept only while the reference solver still finds a
+    super-stable matching.  Merges start at a side-optimal partner's tier,
+    where the tie rules act.  Returns the instance and the merges kept."""
+    rng = random.Random(seed)
+    inst = random_instance(n, n, 0.6, 0.0, seed=seed)
+    optima = [_reference_optimum(inst, side) for side in (MEN, WOMEN)]
+    kept = 0
+    for _ in range(trials):
+        if None in optima:
+            break
+        pair = rng.choice(sorted(optima[0] | optima[1]))
+        agent, partner = pair if rng.random() < 0.5 else pair[::-1]
+        tiers = [list(t) for t in inst.prefs[agent]]
+        if len(tiers) < 2:
+            continue
+        i = next(i for i, t in enumerate(tiers) if partner in t)
+        i = min(max(i - rng.randrange(2), 0), len(tiers) - 2)
+        tiers[i : i + 2] = [tiers[i] + tiers[i + 1]]
+        merged = Instance(inst.men, inst.women, {**inst.prefs, agent: tiers})
+        trial = [_reference_optimum(merged, side) for side in (MEN, WOMEN)]
+        if None not in trial:
+            inst, optima, kept = merged, trial, kept + 1
+    return inst, kept
+
+
+def test_solver_matches_edge_set_reference():
+    # the list-position solver against the earlier per-pair deletion sets,
+    # on the engagements themselves, before the blocking re-check
+    random_cases = []
+    for k in range(24):
+        n = 20 + 130 * k // 23  # 20 to 150
+        ties = (0.01, 0.05, 0.2)[k % 3]
+        random_cases.append(random_instance(n, n, (0.2, 0.5)[k % 2], ties, seed=46_000 + k))
+    feasible = sum(optimal_super_stable(inst) is not None for inst in random_cases)
+    assert 0 < feasible < len(random_cases)
+    blocks = [block_union(46_100 + 50 * k, 10 + 5 * k, (0.1, 0.3)[k % 2]) for k in range(8)]
+    merged = [merged_tiers(46_200 + k, 12 + 4 * k, 40) for k in range(8)]
+    assert sum(kept for _, kept in merged) > 100
+    for k, inst in enumerate(random_cases + blocks + [inst for inst, _ in merged]):
+        for side in (MEN, WOMEN):
+            mine = _propose_and_delete(inst, side)
+            assert mine == reference_propose_and_delete(inst, side), (k, side)
