@@ -1,14 +1,17 @@
 """Command-line interface.
 
 Exit codes: 0 on success (a NONE answer is a success), 1 on usage errors,
-2 on unreadable or malformed input files.  Analytic output goes to stdout
-as JSON (or DOT with --dot); diagnostics go to stderr.
+2 on unreadable or malformed input files, 141 (128 + SIGPIPE, the shell's
+status for a process whose reader stopped) when stdout closes before the
+output is written; nothing is printed on stderr then.  Analytic output goes
+to stdout as JSON (or DOT with --dot); diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -330,10 +333,20 @@ def main(argv=None) -> int:
         print("usage error: missing command", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        # flush here, where a closed pipe is caught, not at exit; print
+        # also copes with a process started without stdout
+        print(end="", flush=True)
+        return status
     except (_InputError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader stopped early: point stdout at devnull so that the
+        # flush at exit cannot raise again (the SIGPIPE note in the docs
+        # of Python's signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

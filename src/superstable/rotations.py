@@ -390,42 +390,34 @@ class _Chain(object):
 
     # -- rotation firing
 
-    def _rotation_plan(self, cid: int, group: list[int]):
-        comp = self._comp
-        added = set()
+    def _rotation_plan(self, group: list[int]):
+        """(removed, added) if every vertex of the open multi-vertex group
+        holds one candidate, else None.  No other test is needed: a man's
+        candidates are traversed arcs, and none leaves an open group; a
+        woman's only arc leads to her partner.  So the men's candidates are
+        distinct women of the group and the women's partners distinct men
+        of it, and both maps are bijections: every man's partner is inside,
+        and every woman's candidate.  A man at his last partner, whose
+        candidate she is, has no traversed arc and so is never in such a
+        group; every other candidate ranks strictly above her partner.  So
+        ``removed`` and ``added`` are disjoint.
+        """
+        nm = self.nm
+        added = []
         for v in group:
-            if v < self.nm:
-                m = v
-                if len(self.cand_m[m]) != 1:
-                    return None
-                w = next(iter(self.cand_m[m]))
-                if comp[self._vert(w)] != cid:
-                    return None
-                added.add((m, w))
-            else:
-                w = v - self.nm
-                if len(self.cand_w[w]) != 1:
-                    return None
-                if comp[next(iter(self.cand_w[w]))] != cid:
-                    return None
-        removed = set()
-        for v in group:
-            if v >= self.nm:
-                continue
-            held = self.match_m[v]
-            if held is None or comp[self._vert(held)] != cid:
+            held = self.cand_m[v] if v < nm else self.cand_w[v - nm]
+            if len(held) != 1:
                 return None
-            removed.add((v, held))
-        if removed & added:
-            return None
-        return removed, added
+            if v < nm:
+                added.append((v, next(iter(held))))
+        return [(m, self.match_m[m]) for m, _ in added], added
 
     def _rotate_once(self, outputs: list) -> bool:
         members = self._members
         ready = [c for c, g in members.items() if len(g) > 1 and self._outdeg[c] == 0]
         for cid in sorted(ready, key=lambda c: min(members[c])):
             group = members[cid]
-            plan = self._rotation_plan(cid, group)
+            plan = self._rotation_plan(group)
             if plan is None:
                 continue
             removed, added = plan
@@ -435,23 +427,16 @@ class _Chain(object):
             for m, w in added:
                 self.match_m[m] = w
                 self.match_w[w] = m
-            outputs.append(self._snapshot())
-            group_men = {v for v in group if v < self.nm}
-            group_women = {v - self.nm for v in group if v >= self.nm}
-            stale = set()
-            for m in group_men:
-                stale.update((m, w) for w in self.cand_m[m])
-            for w in group_women:
-                stale.update((m, w) for m in self.cand_w[w])
-            for m, w in stale:
+                # by the bijection, the group's only candidacies
                 self._cand_discard(m, w)
+            outputs.append(self._snapshot())
             # the group was open, so its men's arcs stay inside it; arcs into
             # its women from outside leave their own components
-            for m in group_men:
+            for m, _ in added:
                 for w in self.trav_m[m]:
                     self.trav_w[w].discard(m)
                 self.trav_m[m].clear()
-            for w in group_women:
+            for _, w in added:
                 for m in self.trav_w[w]:
                     self.trav_m[m].discard(w)
                     self._outdeg[self._comp[m]] -= 1
@@ -466,8 +451,7 @@ class _Chain(object):
             self.rebuilds += 1
             # untried positions stay: each man took his new partner from
             # his first untried tier and then stepped past that tier
-            for m in sorted(group_men):
-                w = self.match_m[m]
+            for m, w in added:
                 if w == self.last_m[m]:
                     self.cand_m[m].add(w)
                     self.cand_w[w].add(m)

@@ -86,14 +86,15 @@ def optimal_super_stable(inst: Instance, side: str = MEN):
     For ``side="men"`` the result weakly improves on every super-stable
     matching from the men's viewpoint, for ``side="women"`` from the
     women's; the chosen side proposes.  None is a valid answer, not an
-    error.
+    error.  The final ``blocking_edges`` call is the algorithm's NONE rule
+    (Irving 1994): it rejects the proposal phase's matching exactly when a
+    receiver that was ever engaged ends up free.
     """
     if side not in (MEN, WOMEN):
         raise ValueError(f"unknown side {side!r}")
     candidate = _propose_and_delete(inst, side)
     if candidate is None:
         return None
-    # belt and braces: re-verify against the original instance
     if blocking_edges(inst, candidate, SUPER):
         return None
     return candidate
@@ -111,7 +112,8 @@ def _propose_and_delete(inst: Instance, side: str):
     Every deletion cuts a suffix of the receiver's list, so the live pairs
     are read off the lists: ``bottom[r]`` is the worst rank r still accepts,
     and a pair lives while the proposer's rank there is within it.  Each
-    proposer's ``head`` is its first tier with a live pair.
+    proposer's ``head`` is its first tier with a live pair.  A proposer is
+    queued only while it holds no engagement.
     """
     if side == MEN:
         prop_tiers, recv_tiers, recv_rank = inst._man_tiers, inst._woman_tiers, inst._woman_rank
@@ -138,8 +140,6 @@ def _propose_and_delete(inst: Instance, side: str):
     while True:
         while queue:
             p = queue.popleft()
-            if eng_p[p]:
-                continue
             tiers = prop_tiers[p]
             while head[p] < len(tiers):
                 live = [r for r in tiers[head[p]] if recv_rank[r][p] <= bottom[r]]

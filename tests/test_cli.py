@@ -184,9 +184,11 @@ def test_irreducible(capsys, i1_file, i2_file):
     assert json.loads(out) == {"elements": None}
     code, out, _ = run(capsys, "irreducible", i1_file, "--dot")
     assert out.startswith("digraph irreducible {")
+    code, out, _ = run(capsys, "irreducible", i2_file, "--dot")
+    assert code == 0 and out == "digraph irreducible {\n}\n"
 
 
-def test_maxweight(capsys, i1_file, tmp_path):
+def test_maxweight(capsys, i1_file, i2_file, tmp_path):
     wfile = tmp_path / "w.txt"
     wfile.write_text("a y 5\nb x 5\na x 1\nb y 1\n")
     code, out, _ = run(capsys, "maxweight", i1_file, "--weights", str(wfile))
@@ -194,6 +196,9 @@ def test_maxweight(capsys, i1_file, tmp_path):
     doc = json.loads(out)
     jsonschema.validate(doc, MAXWEIGHT)
     assert doc["pairs"] == [["a", "y"], ["b", "x"]] and doc["weight"] == "10"
+    wfile.write_text("a x 1\n")
+    code, out, _ = run(capsys, "maxweight", i2_file, "--weights", str(wfile))
+    assert code == 0 and json.loads(out) == {"pairs": None}
 
 
 def test_check_polytope(capsys, i1_file, tmp_path):
@@ -268,6 +273,13 @@ def test_exit_codes(capsys, tmp_path, i1_file):
     weights.write_text("a x 1\na x 1\n")
     code, _, err = run(capsys, "maxweight", i1_file, "--weights", str(weights))
     assert code == 2 and "duplicate" in err
+    weights.write_text("a x\n")
+    code, _, err = run(capsys, "maxweight", i1_file, "--weights", str(weights))
+    assert code == 2 and "w.txt" in err and "<rational>" in err
+    point = tmp_path / "p.txt"
+    point.write_text("a x 1/0\n")
+    code, _, err = run(capsys, "check-polytope", i1_file, "--point", str(point))
+    assert code == 2 and "denominator" in err
 
 
 def test_no_input_mutation(capsys, i1_file):
@@ -335,3 +347,22 @@ def test_output_does_not_depend_on_hash_seed(tmp_path):
     assert runs[0][-1] == [2, "", f"error: {tmp_path / 'non_mutual.txt'}: "
                            "non-mutual listing: 'a' lists 'z' but not vice versa\n"]
     assert sum(code == 0 for code, _, _ in runs[0]) == 1 + 4 * 13
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # a reader that stops early, as ``| head -c 200`` does, closes the pipe
+    # long before 2,000 matchings are written
+    path = tmp_path / "s.txt"
+    path.write_text(superstable.serialize_instance(superstable.random_instance(60, 60, 0.5, 0.0, seed=3)))
+    env = dict(os.environ, PYTHONPATH=str(Path(superstable.__file__).parents[1]))
+    argv = [sys.executable, "-m", "superstable.cli", "enumerate", "--limit", "2000", str(path)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(200)) == 200
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert code == 141 and err == b""
+    # started without stdout at all (``>&-``), the CLI still exits 0
+    argv = [sys.executable, "-m", "superstable.cli", "gen", "--men", "3", "--women", "3"]
+    done = subprocess.run(argv, stderr=subprocess.PIPE, env=env, preexec_fn=lambda: os.close(1), timeout=120)
+    assert done.returncode == 0 and done.stderr == b""

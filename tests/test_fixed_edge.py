@@ -52,6 +52,8 @@ def test_optimal_with_edge_examples(i1, i2, i3):
     assert optimal_with_edge(i2, ("a", "x")) is None
     assert optimal_with_edge(i3, ("a", "y")) is None
     assert optimal_with_edge(i3, ("a", "x")) == {("a", "x"), ("b", "y")}
+    with pytest.raises(ValueError, match="not an edge"):
+        optimal_with_edge(i3, ("b", "x"))
 
 
 def test_p_set_examples(i1):

@@ -97,6 +97,8 @@ def test_vertices_cap():
     inst = random_instance(3, 3, 1.0, 0.0, seed=3)
     with pytest.raises(ValueError, match="cap"):
         vertices(inst, "super", 8)
+    with pytest.raises(ValueError, match="unknown model"):
+        vertices(inst, "weak", 8)
 
 
 def test_point_file(i1):

@@ -33,6 +33,8 @@ def test_rotations_of_examples(i1):
     assert rotations_of([M0_I1]) == []
     with pytest.raises(ValueError, match="equal"):
         rotations_of([M0_I1, M0_I1])
+    with pytest.raises(ValueError, match="matched agents"):
+        rotations_of([{("a", "x")}, {("a", "y")}])
 
 
 def test_rotation_replay(chain3):
@@ -66,8 +68,8 @@ def test_chain3_digraph(chain3):
     assert frozenset({0}) in closed and frozenset({1}) not in closed
 
 
-def test_digraph_rejects_corrupt_rotations(chain3):
-    from superstable import Rotation
+def test_digraph_rejects_corrupt_rotations(chain3, i1):
+    from superstable import Instance, Rotation
 
     seq = maximal_sequence(chain3)
     rots = rotations_of(seq)
@@ -80,6 +82,18 @@ def test_digraph_rejects_corrupt_rotations(chain3):
     )
     with pytest.raises(ValueError, match="missing from the lists"):
         precedence_digraph(chain3, seq[0], [off_list])
+    # undoing i1's rotation moves both men up their lists
+    with pytest.raises(ValueError, match="a man does not move strictly down"):
+        precedence_digraph(i1, MZ_I1, [Rotation(0, MZ_I1, M0_I1)])
+    # both men move down, and woman x from her first choice to her second
+    mutual = Instance(
+        ["a", "b"],
+        ["x", "y"],
+        {"a": [["x"], ["y"]], "b": [["y"], ["x"]], "x": [["a"], ["b"]], "y": [["b"], ["a"]]},
+    )
+    swap = Rotation(0, removed=M0_I1, added=MZ_I1)
+    with pytest.raises(ValueError, match="a woman does not move strictly up"):
+        precedence_digraph(mutual, M0_I1, [swap])
 
 
 def test_rotation_direction_sweep():
@@ -242,7 +256,9 @@ def _components_from_scratch(chain):
 
 class _CheckedChain(rotations._Chain):
     """Compares the locally kept components with a recomputation at every
-    step, and checks that each man's untried tiers lie below his partner."""
+    step, checks that each man's untried tiers lie below his partner, and
+    checks the invariants that let ``_rotation_plan`` fire a group on its
+    candidate counts alone."""
 
     def _check(self):
         blocks: dict[int, set] = {}
@@ -253,10 +269,35 @@ class _CheckedChain(rotations._Chain):
         assert mine == _components_from_scratch(self)
         for m, w in enumerate(self.match_m):
             assert w is None or self.untried[m] >= self.mrank[m][w]
+            if w == self.last_m[m]:
+                assert not self.trav_m[m]
+                assert self.cand_m[m] == (set() if w is None else {w})
+            else:
+                assert self.cand_m[m] <= self.trav_m[m]
+        for w, m in enumerate(self.match_w):
+            if len(blocks[self._comp[self.nm + w]]) > 1:
+                assert m is not None and self._comp[m] == self._comp[self.nm + w]
 
     def _add_arc(self, m, w):
         super()._add_arc(m, w)
         self._check()
+
+    def _search_sweep(self):
+        acted = super()._search_sweep()
+        self._check()
+        return acted
+
+    def _rotation_plan(self, group):
+        plan = super()._rotation_plan(group)
+        if plan is not None:
+            removed, added = plan
+            inside = set(group)
+            nm = self.nm
+            assert all(nm + w in inside for _, w in added)
+            assert all(m in inside for v in inside if v >= nm for m in self.cand_w[v - nm])
+            assert all(w is not None and nm + w in inside for _, w in removed)
+            assert not set(removed) & set(added)
+        return plan
 
     def _rotate_once(self, outputs):
         fired = super()._rotate_once(outputs)
@@ -289,7 +330,7 @@ def test_chain_drops_tied_candidates(tie_prob, seed):
     from superstable import enumerate_all
 
     inst = random_instance(5, 5, 1.0, tie_prob, seed=seed)
-    chain, sequence = _chain_of(inst)
+    chain, sequence = _chain_of(inst, _CheckedChain)
     assert any(chain.dropped)
     assert sequence == maximal_sequence(inst)
     stable = brute_stable_set(inst, max_edges=25)

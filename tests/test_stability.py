@@ -34,12 +34,16 @@ def test_validate_matching(i1):
         validate_matching(i1, {("a", "a")})
     with pytest.raises(ValueError, match="two pairs"):
         validate_matching(i1, {("a", "x"), ("a", "y")})
+    with pytest.raises(ValueError, match="'x' appears in two pairs"):
+        validate_matching(i1, {("a", "x"), ("b", "x")})
 
 
 def test_blocking_examples(i1, i2, i3):
     assert blocking_edges(i2, {("a", "x")}, SUPER) == {("b", "x")}
     assert blocking_edges(i1, M0_I1, SUPER) == frozenset()
     assert blocking_edges(i3, {("a", "x"), ("b", "y")}, STRONG) == frozenset()
+    with pytest.raises(ValueError, match="unknown criterion"):
+        blocking_edges(i1, M0_I1, "weak")
 
 
 def test_blocking_strong_vs_super(i3):
@@ -67,8 +71,12 @@ def test_unmatched_agents_block(i1):
 
 def test_solver_examples(i1, i2, i3):
     assert optimal_super_stable(i1, MEN) == M0_I1
+    # the proposals leave x free after she held both men: the final
+    # blocking check (Irving's NONE rule) is what returns None here
     assert optimal_super_stable(i2, MEN) is None
     assert optimal_super_stable(i3, WOMEN) == {("a", "x"), ("b", "y")}
+    with pytest.raises(ValueError, match="unknown side"):
+        optimal_super_stable(i1, "both")
 
 
 def test_dominates_examples(i1):
