@@ -147,7 +147,7 @@ def _check_weights(inst: Instance, weights) -> dict:
         m, w = edge
         if not inst.is_edge(m, w):
             raise ValueError(f"weight given for non-edge ({m!r}, {w!r})")
-        checked[(m, w)] = Fraction(value)
+        checked[(m, w)] = value if isinstance(value, Fraction) else Fraction(value)
     return checked
 
 
@@ -156,8 +156,9 @@ def _best_closure(values: list[Fraction], arcs) -> set[int]:
 
     Project-selection reduction: positive rotations hang off the source,
     negative ones feed the sink, precedence arcs get infinite capacity; the
-    source side of the canonical minimum cut is the answer.  Weights are
-    scaled to integers so the cut is exact.
+    source side of the canonical minimum cut, the residual reach of the
+    source, is the answer.  Weights are scaled to integers so the cut is
+    exact.
     """
     n = len(values)
     if n == 0:
@@ -174,8 +175,8 @@ def _best_closure(values: list[Fraction], arcs) -> set[int]:
             flow.add(i, sink, -v)
     for i, j in sorted(arcs):
         flow.add(j, i, infinite)  # picking j forces its predecessor i
-    flow.max_flow(source, sink)
-    return flow.reachable(source) - {source}
+    level = flow.max_flow(source, sink)
+    return {i for i in range(n) if level[i] >= 0}
 
 
 class _Dinic:
@@ -187,18 +188,15 @@ class _Dinic:
         self.adj[u].append([v, cap, len(self.adj[v])])
         self.adj[v].append([u, 0, len(self.adj[u]) - 1])
 
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
+    def max_flow(self, s: int, t: int) -> list[int]:
+        """Saturate every s-t path; the last levels mark s's residual reach."""
         while True:
             level = self._levels(s)
             if level[t] < 0:
-                return total
+                return level
             cursor = [0] * self.n
-            while True:
-                pushed = self._push(s, t, level, cursor)
-                if not pushed:
-                    break
-                total += pushed
+            while self._push(s, t, level, cursor):
+                pass
 
     def _levels(self, s: int) -> list[int]:
         level = [-1] * self.n
@@ -240,14 +238,3 @@ class _Dinic:
             arc[1] -= pushed
             self.adj[arc[0]][arc[2]][1] += pushed
         return pushed
-
-    def reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v, cap, _ in self.adj[u]:
-                if cap > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen

@@ -52,8 +52,6 @@ def maximal_sequence(inst: Instance) -> list[frozenset]:
     last = optimal_super_stable(inst, WOMEN)
     if last is None:
         raise RuntimeError("woman-optimal solve failed after the man-optimal one succeeded")
-    if first == last:
-        return [first]
     return [first] + _Chain(inst, first, last).run()
 
 
@@ -170,6 +168,12 @@ class _Chain(object):
     carries a perfect candidate matching, swapping it in yields the next
     matching of the chain.
 
+    A candidate always ranks strictly above the woman's partner.  A man who
+    holds his woman-optimal partner holds none and needs none: the sweep
+    passes him by, he has no traversed arc and so stands alone, and his
+    partner, whose only arc leads to him, stands alone too.  A candidacy
+    for her would evict him, so ``_advance`` raises instead.
+
     The components and their counts of leaving traversed arcs are kept up
     to date locally, never recomputed over the whole graph.  An arc m -> w
     from m's component C either stays inside C (nothing changes), or
@@ -199,11 +203,6 @@ class _Chain(object):
             self.last_m[midx[m]] = widx[w]
         self.cand_m: list[set[int]] = [set() for _ in range(nm)]
         self.cand_w: list[set[int]] = [set() for _ in range(nw)]
-        for m in range(nm):
-            w = self.match_m[m]
-            if w is not None and w == self.last_m[m]:
-                self.cand_m[m].add(w)
-                self.cand_w[w].add(m)
         # traversed arcs, from both ends
         self.trav_m: list[set[int]] = [set() for _ in range(nm)]
         self.trav_w: list[set[int]] = [set() for _ in range(nw)]
@@ -341,6 +340,8 @@ class _Chain(object):
             ]
             self.untried[m] += 1
             for w in eligible:
+                if self.last_m[self.match_w[w]] == w:
+                    raise RuntimeError("candidate would evict a man at his last partner")
                 self.cand_m[m].add(w)
                 self.cand_w[w].add(m)
             self._prune_dominated(eligible)
@@ -354,8 +355,6 @@ class _Chain(object):
                 continue
             best = min(self.wrank[w][m] for m in self.cand_w[w])
             for m in [m for m in self.cand_w[w] if self.wrank[w][m] > best]:
-                if self.match_w[w] == m:
-                    raise RuntimeError("candidate would evict a matched pair")
                 self._cand_discard(m, w)
 
     def _search_sweep(self) -> bool:
@@ -372,7 +371,7 @@ class _Chain(object):
         return acted
 
     def _drop_tied_candidates(self) -> bool:
-        """A woman holding tied candidates in a closed component loses that
+        """A woman holding tied candidates in an open component loses that
         whole rank, candidates and untried edges alike."""
         for w in range(self.nw):
             if len(self.cand_w[w]) < 2:
@@ -397,10 +396,8 @@ class _Chain(object):
         woman's only arc leads to her partner.  So the men's candidates are
         distinct women of the group and the women's partners distinct men
         of it, and both maps are bijections: every man's partner is inside,
-        and every woman's candidate.  A man at his last partner, whose
-        candidate she is, has no traversed arc and so is never in such a
-        group; every other candidate ranks strictly above her partner.  So
-        ``removed`` and ``added`` are disjoint.
+        and every woman's candidate.  Every candidate ranks strictly above
+        her partner, so ``removed`` and ``added`` are disjoint.
         """
         nm = self.nm
         added = []
@@ -451,10 +448,6 @@ class _Chain(object):
             self.rebuilds += 1
             # untried positions stay: each man took his new partner from
             # his first untried tier and then stepped past that tier
-            for m, w in added:
-                if w == self.last_m[m]:
-                    self.cand_m[m].add(w)
-                    self.cand_w[w].add(m)
             return True
         return False
 

@@ -50,6 +50,8 @@ def test_parse_errors():
         parse_instance("women: x\nmen: a\na: x\nx: a\n")
     with pytest.raises(ParseError, match="empty side"):
         parse_instance("men:\nwomen: x\n")
+    with pytest.raises(ParseError, match="empty side: no women declared"):
+        parse_instance("men: a\nwomen:\n")
     with pytest.raises(ParseError, match="unknown agent"):
         parse_instance("men: a\nwomen: x\na: x\nx: a\nq: x\n")
     with pytest.raises(ParseError, match="duplicate preference line"):
@@ -85,6 +87,10 @@ def test_agent_without_line_has_empty_list():
 def test_constructor_invariants():
     with pytest.raises(ValueError, match="duplicate name"):
         Instance(["a", "a"], ["x"], {})
+    with pytest.raises(ValueError, match="duplicate name on the women side"):
+        Instance(["a"], ["x", "x"], {})
+    with pytest.raises(ValueError, match="preferences given for unknown agent"):
+        Instance(["a"], ["x"], {"z": [["x"]]})
     with pytest.raises(ValueError, match="non-mutual"):
         Instance(["a"], ["x"], {"a": [["x"]]})
     with pytest.raises(ValueError, match="opposite side"):

@@ -80,6 +80,12 @@ def test_max_weight_rationals(i1):
     )
     assert total == Fraction(2, 3)
     assert matching == M0_I1
+    # ints and "p/q" strings convert to the same Fractions
+    as_fractions = {("a", "x"): Fraction(2), ("a", "y"): Fraction(3, 2), ("b", "x"): Fraction(1)}
+    as_others = {("a", "x"): 2, ("a", "y"): "3/2", ("b", "x"): "1"}
+    assert max_weight(i1, as_others) == max_weight(i1, as_fractions) == (MZ_I1, Fraction(5, 2))
+    with pytest.raises(ValueError):
+        max_weight(i1, {("a", "x"): "x"})
 
 
 def test_enumeration_matches_oracle_sweep():

@@ -49,6 +49,8 @@ def test_strong_vs_super(i3):
     for matching in enumerate_matchings(i3):
         if not has_blocking_edge(i3, matching, "super"):
             assert not has_blocking_edge(i3, matching, "strong")
+    with pytest.raises(ValueError, match="unknown criterion"):
+        has_blocking_edge(i3, frozenset(), "bogus")
 
 
 def test_strong_set_can_be_larger():
