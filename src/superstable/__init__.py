@@ -21,7 +21,6 @@ from .stability import (
     SUPER,
     NoSuperStableMatching,
     blocking_edges,
-    dominates,
     matching_to_json,
     optimal_super_stable,
     validate_matching,
@@ -44,6 +43,7 @@ from .rotations import (
 from .lattice import (
     build_poset,
     closed_subsets,
+    dominates,
     enumerate_all,
     join_meet,
     matching_of,

@@ -140,11 +140,6 @@ def _emit(document) -> None:
     print(json.dumps(document, indent=2))
 
 
-def _pairs(inst, matching) -> list:
-    order = {m: i for i, m in enumerate(inst.men)}
-    return [[m, w] for m, w in sorted(matching, key=lambda p: order[p[0]])]
-
-
 def _cmd_solve(args) -> int:
     inst = _load(args.file)
     side = MEN if args.side == "men" else WOMEN
@@ -170,10 +165,10 @@ def _cmd_rotations(args) -> int:
         arcs = []
     if args.dot:
         nodes = []
-        for rot in rotations:
+        for k, rot in enumerate(rotations):
             removed = " ".join(f"-({m},{w})" for m, w in sorted(rot.removed))
             added = " ".join(f"+({m},{w})" for m, w in sorted(rot.added))
-            nodes.append((f"r{rot.index}", f"{rot.index}: {removed} {added}"))
+            nodes.append((f"r{k}", f"{k}: {removed} {added}"))
         print(_dot("rotations", nodes, [(f"r{i}", f"r{j}") for i, j in arcs]), end="")
         return 0
     _emit(
@@ -181,11 +176,11 @@ def _cmd_rotations(args) -> int:
             "sequence": [matching_to_json(inst, m) for m in sequence],
             "rotations": [
                 {
-                    "index": rot.index,
-                    "removed": _pairs(inst, rot.removed),
-                    "added": _pairs(inst, rot.added),
+                    "index": k,
+                    "removed": matching_to_json(inst, rot.removed)["pairs"],
+                    "added": matching_to_json(inst, rot.added)["pairs"],
                 }
-                for rot in rotations
+                for k, rot in enumerate(rotations)
             ],
             "arcs": [list(arc) for arc in arcs],
         }
@@ -216,7 +211,7 @@ def _cmd_irreducible(args) -> int:
             "elements": [
                 {
                     "index": i,
-                    "pairs": _pairs(inst, el.matching),
+                    "pairs": matching_to_json(inst, el.matching)["pairs"],
                     "witnesses": [list(e) for e in el.witnesses],
                     "p_set": sorted([list(e) for e in el.pairs]),
                 }

@@ -79,10 +79,10 @@ def _edge_optima(inst: Instance):
     closures: list[set[int]] = [set()]
     owner = dict.fromkeys(first, 0)
     # discovery order is a linear extension: predecessors come first
-    for rot, preds in zip(poset.rotations, poset.predecessors()):
-        closures.append({rot.index}.union(*(closures[i + 1] for i in preds)))
+    for k, (rot, preds) in enumerate(zip(poset.rotations, poset.predecessors())):
+        closures.append({k}.union(*(closures[i + 1] for i in preds)))
         matchings.append(matching_of(first, poset.rotations, closures[-1]))
-        owner.update(dict.fromkeys(rot.added, rot.index + 1))
+        owner.update(dict.fromkeys(rot.added, k + 1))
     return matchings, closures, owner
 
 

@@ -1,10 +1,11 @@
 """Enumeration of all super-stable matchings through closed rotation subsets,
-lattice join/meet, and maximum-weight optimization."""
+the lattice's join, meet and dominance, and maximum-weight optimization."""
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Iterator
 
@@ -14,29 +15,27 @@ from .stability import _blocking, _indexed, validate_matching
 
 
 def matching_of(first, rotations, subset) -> frozenset:
-    """Eliminate the chosen rotations starting from the top matching.
+    """Eliminate the rotations at the chosen positions from the top matching.
 
     Discovery order is a linear extension of precedence, so eliminating in
-    index order works for every closed subset; the result does not depend on
-    the elimination order.  A rotation whose removed pairs are not all
-    present signals a non-closed subset or a corrupted poset.
+    ascending position works for every closed subset; the result does not
+    depend on the elimination order.  A rotation whose removed pairs are not
+    all present signals a non-closed subset or a corrupted poset.
     """
     current = set(first)
-    chosen = set(subset)
-    for rot in rotations:
-        if rot.index not in chosen:
-            continue
+    for k in sorted(set(subset)):
+        if not 0 <= k < len(rotations):
+            raise ValueError(f"subset member {k!r} names no rotation")
+        rot = rotations[k]
         if not rot.removed <= current:
-            raise ValueError(
-                f"rotation {rot.index} is not exposed; the subset is not closed"
-            )
+            raise ValueError(f"rotation {k} is not exposed; the subset is not closed")
         current -= rot.removed
         current |= rot.added
     return frozenset(current)
 
 
 def closed_subsets(poset: RotationPoset) -> Iterator[frozenset]:
-    """All down-closed rotation sets, depth-first with ascending indices."""
+    """All down-closed rotation sets, depth-first with ascending positions."""
     preds = poset.predecessors()
     n = len(poset.rotations)
 
@@ -81,25 +80,25 @@ def enumerate_all(inst: Instance, limit: int | None = None) -> Iterator[frozense
     if built is None:
         return
     first, poset = built
-    count = 0
-    for subset in closed_subsets(poset):
-        if limit is not None and count >= limit:
-            return
+    for subset in islice(closed_subsets(poset), limit):
         yield matching_of(first, poset.rotations, subset)
-        count += 1
 
 
 def join_meet(inst: Instance, a, b) -> tuple[frozenset, frozenset]:
     """(join, meet): each man takes the better resp. worse of his two partners.
 
     Defined on super-stable inputs only; ties between distinct partners
-    cannot occur there, and both outputs are again super-stable.  Costs the
-    two ``blocking_edges`` prechecks plus two rank lookups per matched man.
+    cannot occur there.  Both outputs are super-stable (Spieker 1995;
+    Manlove 2002), so no woman is taken twice, by m1 from ``a`` and m2 from
+    ``b``: in the join, (m2, w) would block ``a`` or (m1, w) block ``b``; in
+    the meet, m1 strictly prefers ``b`` and m2 ``a``, so by opposition of
+    interests w would strictly prefer m2 to m1 and m1 to m2.  Costs the two
+    ``blocking_edges`` prechecks plus two rank lookups per matched man.
     """
     a, b = _indexed(inst, a), _indexed(inst, b)
     for indexed in (a, b):
         if _blocking(inst, indexed):
-            raise ValueError("join/meet are defined on super-stable matchings only")
+            raise ValueError("join, meet and dominance are defined on super-stable matchings only")
     mates_a, mates_b = a[1], b[1]
     if [j < 0 for j in mates_a] != [j < 0 for j in mates_b]:
         raise RuntimeError("super-stable matchings must match the same men")
@@ -113,7 +112,17 @@ def join_meet(inst: Instance, a, b) -> tuple[frozenset, frozenset]:
         better, worse = (ja, jb) if ranks[ja] <= ranks[jb] else (jb, ja)
         join.append((inst.men[i], inst.women[better]))
         meet.append((inst.men[i], inst.women[worse]))
-    return validate_matching(inst, join), validate_matching(inst, meet)
+    return frozenset(join), frozenset(meet)
+
+
+def dominates(inst: Instance, first, second) -> bool:
+    """True iff every man weakly prefers his partner in ``first`` to ``second``.
+
+    That is, the join of the two is ``first``; both inputs must be
+    super-stable, as for ``join_meet``.
+    """
+    first = validate_matching(inst, first)
+    return join_meet(inst, first, second)[0] == first
 
 
 def max_weight(inst: Instance, weights):
@@ -130,15 +139,13 @@ def max_weight(inst: Instance, weights):
     if built is None:
         return None
     first, poset = built
-    values = [
-        sum((weights.get(e, Fraction(0)) for e in rot.added), Fraction(0))
-        - sum((weights.get(e, Fraction(0)) for e in rot.removed), Fraction(0))
-        for rot in poset.rotations
-    ]
-    chosen = _best_closure(values, poset.arcs)
-    best = matching_of(first, poset.rotations, chosen)
-    total = sum((weights.get(e, Fraction(0)) for e in best), Fraction(0))
-    return best, total
+
+    def worth(pairs) -> Fraction:
+        return sum((weights.get(e, Fraction(0)) for e in pairs), Fraction(0))
+
+    values = [worth(rot.added) - worth(rot.removed) for rot in poset.rotations]
+    best = matching_of(first, poset.rotations, _best_closure(values, poset.arcs))
+    return best, worth(best)
 
 
 def _check_weights(inst: Instance, weights) -> dict:

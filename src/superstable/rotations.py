@@ -15,10 +15,10 @@ class Rotation:
 
     ``removed`` and ``added`` cover the same agents; every man moves strictly
     down his list and every woman strictly up hers.  A single rotation may
-    consist of several disjoint cycles.
+    consist of several disjoint cycles.  It is named by its position in
+    ``RotationPoset.rotations``, the order in which the chain met it.
     """
 
-    index: int
     removed: frozenset
     added: frozenset
 
@@ -31,7 +31,7 @@ class RotationPoset:
     arcs: frozenset
 
     def predecessors(self) -> list[frozenset]:
-        """Direct predecessors per rotation index."""
+        """Direct predecessors per rotation position."""
         direct: list[set[int]] = [set() for _ in self.rotations]
         for i, j in self.arcs:
             direct[j].add(i)
@@ -67,7 +67,7 @@ def rotations_of(sequence) -> list[Rotation]:
             raise ValueError(f"consecutive matchings {i - 1} and {i} are equal")
         if {a for p in removed for a in p} != {a for p in added for a in p}:
             raise ValueError("rotation does not preserve the matched agents")
-        rotations.append(Rotation(len(rotations), removed, added))
+        rotations.append(Rotation(removed, added))
     return rotations
 
 
@@ -84,9 +84,9 @@ def precedence_digraph(inst: Instance, first, rotations) -> RotationPoset:
     """
     first = validate_matching(inst, first)
     current = set(first)
-    for rot in rotations:
+    for k, rot in enumerate(rotations):
         if not rot.removed <= current:
-            raise ValueError(f"rotation {rot.index} is not exposed at its turn")
+            raise ValueError(f"rotation {k} is not exposed at its turn")
         current -= rot.removed
         current |= rot.added
 
@@ -95,28 +95,29 @@ def precedence_digraph(inst: Instance, first, rotations) -> RotationPoset:
     handoff: dict[tuple[int, int], tuple[int, int]] = {}  # (rotation, rank he lands on)
     crossing: dict[tuple[int, int], list[int]] = {}
     try:
-        for rot in rotations:
+        for k, rot in enumerate(rotations):
             old_w = {midx[m]: widx[w] for m, w in rot.removed}
             new_w = {midx[m]: widx[w] for m, w in rot.added}
             for mi, wi in old_w.items():
                 landing = man_rank[mi][new_w[mi]]
                 if landing <= man_rank[mi][wi]:
-                    raise ValueError(f"rotation {rot.index}: a man does not move strictly down")
+                    raise ValueError(f"rotation {k}: a man does not move strictly down")
                 if (mi, wi) in handoff:
                     raise ValueError(f"two rotations remove the same pair")
-                handoff[(mi, wi)] = (rot.index, landing)
+                handoff[(mi, wi)] = (k, landing)
             old_m = {widx[w]: midx[m] for m, w in rot.removed}
             new_m = {widx[w]: midx[m] for m, w in rot.added}
             for wi, mi_old in old_m.items():
                 lo = woman_rank[wi][new_m[wi]]
                 hi = woman_rank[wi][mi_old]
                 if lo >= hi:
-                    raise ValueError(f"rotation {rot.index}: a woman does not move strictly up")
+                    raise ValueError(f"rotation {k}: a woman does not move strictly up")
                 # the climb makes her safe against every man she passes,
                 # including those tied with the partner she leaves behind
-                for x, r in woman_rank[wi].items():
-                    if lo < r <= hi and x != mi_old:
-                        crossing.setdefault((x, wi), []).append(rot.index)
+                for tier in inst._woman_tiers[wi][lo:hi]:
+                    for x in tier:
+                        if x != mi_old:
+                            crossing.setdefault((x, wi), []).append(k)
     except KeyError:
         raise ValueError("rotation references a pair missing from the lists") from None
 

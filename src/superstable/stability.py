@@ -1,4 +1,4 @@
-"""Blocking-edge tests, the side-optimal super-stable solver, and dominance."""
+"""Matching validation, blocking-edge tests and the side-optimal solver."""
 
 from __future__ import annotations
 
@@ -178,32 +178,10 @@ def _propose_and_delete(inst: Instance, side: str):
     return frozenset(pairs)
 
 
-def dominates(inst: Instance, first, second) -> bool:
-    """True iff every man weakly prefers his partner in ``first`` to ``second``.
-
-    Both inputs must be super-stable; they then match the same agents, so the
-    comparison is total on matched men.  Costs the two ``blocking_edges``
-    checks plus one rank lookup per matched man.
-    """
-    first, second = _indexed(inst, first), _indexed(inst, second)
-    for indexed in (first, second):
-        if _blocking(inst, indexed):
-            raise ValueError("dominance is defined on super-stable matchings only")
-    mates_1, mates_2 = first[1], second[1]
-    if [j < 0 for j in mates_1] != [j < 0 for j in mates_2]:
-        raise RuntimeError("super-stable matchings must match the same set of men")
-    return all(
-        ranks[j1] <= ranks[j2]
-        for ranks, j1, j2 in zip(inst._man_rank, mates_1, mates_2)
-        if j1 >= 0
-    )
-
-
 def matching_to_json(inst: Instance, matching) -> dict:
     """JSON form: {"pairs": [...], "matched": n}; None renders as {"pairs": null}."""
     if matching is None:
         return {"pairs": None}
     matching = validate_matching(inst, matching)
-    order = {m: i for i, m in enumerate(inst.men)}
-    pairs = sorted(matching, key=lambda p: order[p[0]])
+    pairs = sorted(matching, key=lambda p: inst._midx[p[0]])
     return {"pairs": [[m, w] for m, w in pairs], "matched": len(pairs)}

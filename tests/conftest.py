@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from superstable import (
     MEN,
+    WOMEN,
     STRONG,
     SUPER,
     DualCertificate,
@@ -144,6 +145,17 @@ def block_union(seed, n, tie_prob):
         women += [w + tag for w in block.women]
         for agent, tiers in block.prefs.items():
             prefs[agent + tag] = [[p + tag for p in tier] for tier in tiers]
+    return Instance(men, women, prefs)
+
+
+def cyclic_shift(n):
+    """Latin-square preferences: man i ranks w_i, w_i+1, ... and woman j ranks
+    m_j+1, m_j+2, ... (indices mod n).  Matching k pairs m_i with w_i+k, so
+    the lattice is one chain of n - 1 rotations, each moving every man."""
+    men = [f"m{i}" for i in range(n)]
+    women = [f"w{j}" for j in range(n)]
+    prefs = {m: [[women[(i + k) % n]] for k in range(n)] for i, m in enumerate(men)}
+    prefs.update({w: [[men[(j + 1 + k) % n]] for k in range(n)] for j, w in enumerate(women)})
     return Instance(men, women, prefs)
 
 
@@ -486,6 +498,38 @@ def reference_parse_instance(text):
 # This is the package's earlier ``_propose_and_delete``, which keeps every
 # live pair in a set per agent and deletes pairs one at a time.  The solver's
 # differential test compares the list-position form with it.
+
+
+def _reference_optimum(inst, side):
+    found = reference_propose_and_delete(inst, side)
+    return None if found is None or blocking_edges(inst, found, SUPER) else found
+
+
+def merged_tiers(seed, n, trials):
+    """A strict random instance whose adjacent tiers are merged one pair at a
+    time, each merge kept only while the reference solver still finds a
+    super-stable matching.  Merges start at a side-optimal partner's tier,
+    where the tie rules act.  Returns the instance and the merges kept."""
+    rng = random.Random(seed)
+    inst = random_instance(n, n, 0.6, 0.0, seed=seed)
+    optima = [_reference_optimum(inst, side) for side in (MEN, WOMEN)]
+    kept = 0
+    for _ in range(trials):
+        if None in optima:
+            break
+        pair = rng.choice(sorted(optima[0] | optima[1]))
+        agent, partner = pair if rng.random() < 0.5 else pair[::-1]
+        tiers = [list(t) for t in inst.prefs[agent]]
+        if len(tiers) < 2:
+            continue
+        i = next(i for i, t in enumerate(tiers) if partner in t)
+        i = min(max(i - rng.randrange(2), 0), len(tiers) - 2)
+        tiers[i : i + 2] = [tiers[i] + tiers[i + 1]]
+        merged = Instance(inst.men, inst.women, {**inst.prefs, agent: tiers})
+        trial = [_reference_optimum(merged, side) for side in (MEN, WOMEN)]
+        if None not in trial:
+            inst, optima, kept = merged, trial, kept + 1
+    return inst, kept
 
 
 def reference_propose_and_delete(inst, side):

@@ -351,9 +351,13 @@ def test_output_does_not_depend_on_hash_seed(tmp_path):
 
 def test_closed_stdout_exits_quietly(tmp_path):
     # a reader that stops early, as ``| head -c 200`` does, closes the pipe
-    # long before 2,000 matchings are written
+    # long before the 181 matchings are written: they fill four default
+    # pipe buffers, so the CLI cannot finish writing before the close
+    inst = superstable.random_instance(200, 200, 0.5, 0.0, seed=2)
+    lines = [json.dumps(superstable.matching_to_json(inst, m)) for m in superstable.enumerate_all(inst)]
+    assert len(lines) == 181 and sum(len(line) + 1 for line in lines) >= 256 * 1024
     path = tmp_path / "s.txt"
-    path.write_text(superstable.serialize_instance(superstable.random_instance(60, 60, 0.5, 0.0, seed=3)))
+    path.write_text(superstable.serialize_instance(inst))
     env = dict(os.environ, PYTHONPATH=str(Path(superstable.__file__).parents[1]))
     argv = [sys.executable, "-m", "superstable.cli", "enumerate", "--limit", "2000", str(path)]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:

@@ -14,7 +14,7 @@ from superstable import (
     serialize_instance,
 )
 from superstable.oracle import brute_stable_set, has_blocking_edge
-from conftest import block_union, man_optimal_of, per_edge_optimum, tied_halves
+from conftest import block_union, cyclic_shift, man_optimal_of, per_edge_optimum, tied_halves
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
 MZ_I1 = frozenset({("a", "y"), ("b", "x")})
@@ -171,17 +171,6 @@ def family_of(inst, optima):
         if a[2] < b[2]
     }
     return elements, order
-
-
-def cyclic_shift(n):
-    """Latin-square preferences: man i ranks w_i, w_i+1, ... and woman j ranks
-    m_j+1, m_j+2, ... (indices mod n).  Matching k pairs m_i with w_i+k, so
-    the lattice is one chain of n - 1 rotations, each moving every man."""
-    men = [f"m{i}" for i in range(n)]
-    women = [f"w{j}" for j in range(n)]
-    prefs = {m: [[women[(i + k) % n]] for k in range(n)] for i, m in enumerate(men)}
-    prefs.update({w: [[men[(j + 1 + k) % n]] for k in range(n)] for j, w in enumerate(women)})
-    return Instance(men, women, prefs)
 
 
 def test_poset_route_matches_per_edge_route_at_scale():

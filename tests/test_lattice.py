@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from superstable import (
     SUPER,
+    WOMEN,
     Instance,
     Rotation,
     RotationPoset,
@@ -18,11 +19,12 @@ from superstable import (
     join_meet,
     matching_of,
     max_weight,
+    optimal_super_stable,
     random_instance,
 )
 from superstable.lattice import _best_closure
 from superstable.oracle import brute_stable_set, has_blocking_edge
-from conftest import block_union, tied_halves
+from conftest import block_union, cyclic_shift, tied_halves
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
 MZ_I1 = frozenset({("a", "y"), ("b", "x")})
@@ -34,6 +36,10 @@ def test_matching_of_examples(i1):
     assert matching_of(first, poset.rotations, {0}) == MZ_I1
     with pytest.raises(ValueError, match="not exposed"):
         matching_of(MZ_I1, poset.rotations, {0})
+    # a subset names rotations by their positions, 0 and nothing else here
+    for stray in ({5}, {-1}, {0, 1}):
+        with pytest.raises(ValueError, match="names no rotation"):
+            matching_of(first, poset.rotations, stray)
 
 
 def test_matching_of_full_subset_is_last(chain3):
@@ -174,7 +180,7 @@ def test_max_weight_matches_oracle_sweep():
 
 def _long_chain(n):
     """A poset of n rotations in one precedence chain."""
-    rotations = tuple(Rotation(i, frozenset(), frozenset()) for i in range(n))
+    rotations = (Rotation(frozenset(), frozenset()),) * n
     return RotationPoset(rotations, frozenset((i, i + 1) for i in range(n - 1)))
 
 
@@ -183,6 +189,19 @@ def test_long_chain_min_cut():
     poset = _long_chain(1500)
     chosen = _best_closure([Fraction(-1)] * 1499 + [Fraction(1505)], poset.arcs)
     assert chosen == set(range(1500))
+
+
+def test_cyclic_shift_rotation_chain():
+    # a real chain of 299 rotations, each moving every man one woman down
+    n = 300
+    inst = cyclic_shift(n)
+    first, poset = build_poset(inst)
+    k = len(poset.rotations)
+    assert k == n - 1 and poset.arcs == {(i, i + 1) for i in range(k - 1)}
+    assert matching_of(first, poset.rotations, range(k)) == optimal_super_stable(inst, WOMEN)
+    # only the matching after rotations 0 to 149 weighs anything
+    middle = frozenset((f"m{i}", f"w{(i + n // 2) % n}") for i in range(n))
+    assert max_weight(inst, dict.fromkeys(middle, 1)) == (middle, n)
 
 
 def test_best_closure_prefers_the_smallest_optimum():

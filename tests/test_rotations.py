@@ -1,9 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from superstable import (
     MEN,
+    SUPER,
     WOMEN,
+    Instance,
+    blocking_edges,
     closed_subsets,
     dominates,
     maximal_sequence,
@@ -14,7 +19,7 @@ from superstable import (
 )
 from superstable import rotations
 from superstable.oracle import brute_stable_set, has_blocking_edge
-from conftest import man_optimal_of, oracle_chain, tied_halves
+from conftest import man_optimal_of, merged_tiers, oracle_chain, tied_halves
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
 MZ_I1 = frozenset({("a", "y"), ("b", "x")})
@@ -69,14 +74,13 @@ def test_chain3_digraph(chain3):
 
 
 def test_digraph_rejects_corrupt_rotations(chain3, i1):
-    from superstable import Instance, Rotation
+    from superstable import Rotation
 
     seq = maximal_sequence(chain3)
     rots = rotations_of(seq)
     with pytest.raises(ValueError, match="not exposed"):
         precedence_digraph(chain3, seq[1], rots)
     off_list = Rotation(
-        0,
         removed=frozenset({("a", "x"), ("c", "z")}),
         added=frozenset({("a", "z"), ("c", "x")}),
     )
@@ -84,14 +88,14 @@ def test_digraph_rejects_corrupt_rotations(chain3, i1):
         precedence_digraph(chain3, seq[0], [off_list])
     # undoing i1's rotation moves both men up their lists
     with pytest.raises(ValueError, match="a man does not move strictly down"):
-        precedence_digraph(i1, MZ_I1, [Rotation(0, MZ_I1, M0_I1)])
+        precedence_digraph(i1, MZ_I1, [Rotation(MZ_I1, M0_I1)])
     # both men move down, and woman x from her first choice to her second
     mutual = Instance(
         ["a", "b"],
         ["x", "y"],
         {"a": [["x"], ["y"]], "b": [["y"], ["x"]], "x": [["a"], ["b"]], "y": [["b"], ["a"]]},
     )
-    swap = Rotation(0, removed=M0_I1, added=MZ_I1)
+    swap = Rotation(removed=M0_I1, added=MZ_I1)
     with pytest.raises(ValueError, match="a woman does not move strictly up"):
         precedence_digraph(mutual, M0_I1, [swap])
 
@@ -209,6 +213,27 @@ def test_chain_at_scale_sweep():
             assert not has_blocking_edge(inst, matching, "super"), k
         assert all(chain[i - 1] != chain[i] for i in range(1, len(chain))), k
         precedence_digraph(inst, chain[0], rotations_of(chain))
+
+
+def test_tied_chain_at_scale_under_tie_breaking():
+    # a super-stable matching is stable under every strict tie-breaking, so
+    # each matching on the chain of a large tied instance must survive them
+    for k in range(2):
+        inst, kept = merged_tiers(47_000 + k, 100 + 20 * k, 60)
+        assert kept > 50, k
+        chain = maximal_sequence(inst)
+        assert chain[0] == optimal_super_stable(inst, MEN), k
+        assert chain[-1] == optimal_super_stable(inst, WOMEN), k
+        assert len(chain) > 2, k
+        rng = random.Random(k)
+        for _ in range(3):
+            prefs = {
+                agent: [[x] for tier in tiers for x in rng.sample(tier, len(tier))]
+                for agent, tiers in inst.prefs.items()
+            }
+            strict = Instance(inst.men, inst.women, prefs)
+            for matching in chain:
+                assert blocking_edges(strict, matching, SUPER) == frozenset(), k
 
 
 def _chain_of(inst, chain_class=rotations._Chain):

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from superstable import (
@@ -20,6 +18,7 @@ from superstable.stability import _propose_and_delete
 from conftest import (
     block_union,
     man_optimal_of,
+    merged_tiers,
     reference_propose_and_delete,
     swap_sides,
     transpose_pairs,
@@ -158,38 +157,6 @@ def test_super_implies_strong_sweep():
         mine = optimal_super_stable(inst, MEN)
         if mine is not None:
             assert blocking_edges(inst, mine, STRONG) == frozenset(), k
-
-
-def _reference_optimum(inst, side):
-    found = reference_propose_and_delete(inst, side)
-    return None if found is None or blocking_edges(inst, found, SUPER) else found
-
-
-def merged_tiers(seed, n, trials):
-    """A strict random instance whose adjacent tiers are merged one pair at a
-    time, each merge kept only while the reference solver still finds a
-    super-stable matching.  Merges start at a side-optimal partner's tier,
-    where the tie rules act.  Returns the instance and the merges kept."""
-    rng = random.Random(seed)
-    inst = random_instance(n, n, 0.6, 0.0, seed=seed)
-    optima = [_reference_optimum(inst, side) for side in (MEN, WOMEN)]
-    kept = 0
-    for _ in range(trials):
-        if None in optima:
-            break
-        pair = rng.choice(sorted(optima[0] | optima[1]))
-        agent, partner = pair if rng.random() < 0.5 else pair[::-1]
-        tiers = [list(t) for t in inst.prefs[agent]]
-        if len(tiers) < 2:
-            continue
-        i = next(i for i, t in enumerate(tiers) if partner in t)
-        i = min(max(i - rng.randrange(2), 0), len(tiers) - 2)
-        tiers[i : i + 2] = [tiers[i] + tiers[i + 1]]
-        merged = Instance(inst.men, inst.women, {**inst.prefs, agent: tiers})
-        trial = [_reference_optimum(merged, side) for side in (MEN, WOMEN)]
-        if None not in trial:
-            inst, optima, kept = merged, trial, kept + 1
-    return inst, kept
 
 
 def test_solver_matches_edge_set_reference():
