@@ -22,6 +22,8 @@ _TIED_LINE = re.compile(
     rf"\s*(?:(?:{_ENTRY_NAME}|\((?:\s*{_ENTRY_NAME})+\s*\))\s*)*"
 )
 _ENTRY = re.compile(r"\(([^)]*)\)|([A-Za-z0-9_]+)")
+# ``int`` alone would also take digit separators and non-ASCII digits
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 
 
 class ParseError(ValueError):
@@ -159,8 +161,11 @@ class Instance:
 
 
 def _index_lists(names, opposite, prefs, normalized):
-    """Each agent's tiers as opposite-side indices, and its 1-based rank map
-    in list order.  ``normalized`` receives the tiers as tuples of names.
+    """Each agent's tiers as tuples of opposite-side indices, and its 1-based
+    rank map in list order.  ``normalized`` receives the tiers as tuples of
+    names.  The cyclic garbage collector stops tracking a tuple of ints after
+    its first pass and never tracks a dict of ints, so the index data does
+    not keep it busy.
 
     A list maps in a few C-level passes over its entries.  One with a name
     not on the opposite side, an empty tier or a repeated entry is checked
@@ -179,10 +184,10 @@ def _index_lists(names, opposite, prefs, normalized):
         try:
             flat = list(map(lookup, chain.from_iterable(tiers)))
             if len(flat) == len(tiers):  # one member per tier, unless one is empty
-                indices = [[p] for p in flat]
+                indices = [(p,) for p in flat]
                 ranks = dict(zip(flat, count(1)))
             else:
-                indices = list(map(list, map(map, repeat(lookup), tiers)))
+                indices = list(map(tuple, map(map, repeat(lookup), tiers)))
                 sizes = map(len, tiers)
                 ranks = dict(zip(flat, chain.from_iterable(map(repeat, count(1), sizes))))
             clean = all(tiers) and len(ranks) == len(flat)
@@ -379,8 +384,15 @@ def random_instance(
 
 
 def parse_edge_values(inst: Instance, text: str) -> dict[tuple[str, str], Fraction]:
-    """Parse ``man woman rational`` lines; rationals are ``p`` or ``p/q`` with q > 0."""
+    """Parse ``man woman rational`` lines; rationals are ``p`` or ``p/q`` with
+    q > 0, written in ASCII digits with an optional leading sign.
+
+    Each distinct token is parsed and checked once, and its ``Fraction``
+    shared by every line that repeats it, so the cost is a dict lookup and
+    an edge test per line plus one parse per distinct value.
+    """
     values: dict[tuple[str, str], Fraction] = {}
+    rationals: dict[str, Fraction] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -388,12 +400,15 @@ def parse_edge_values(inst: Instance, text: str) -> dict[tuple[str, str], Fracti
         parts = line.split()
         if len(parts) != 3:
             raise ParseError("expected '<man> <woman> <rational>'", ln)
-        m, w, value = parts
+        m, w, token = parts
         if not inst.is_edge(m, w):
             raise ParseError(f"({m}, {w}) is not an edge of the instance", ln)
         if (m, w) in values:
             raise ParseError(f"duplicate line for edge ({m}, {w})", ln)
-        values[(m, w)] = _parse_fraction(value, ln)
+        value = rationals.get(token)
+        if value is None:
+            value = rationals[token] = _parse_fraction(token, ln)
+        values[(m, w)] = value
     return values
 
 
@@ -403,13 +418,14 @@ def load_weights(inst: Instance, text: str) -> dict[tuple[str, str], Fraction]:
 
 
 def _parse_fraction(token: str, ln: int) -> Fraction:
-    num, slash, den = token.partition("/")
+    match = _RATIONAL.fullmatch(token)
+    if match is None:
+        raise ParseError(f"bad rational {token!r}", ln)
+    num, den = match.groups()
     try:
         p = int(num)
-        if not slash:
-            return Fraction(p)
-        q = int(den)
-    except ValueError:
+        q = 1 if den is None else int(den)
+    except ValueError:  # more digits than the interpreter converts
         raise ParseError(f"bad rational {token!r}", ln) from None
     if q <= 0:
         raise ParseError(f"bad rational {token!r}: denominator must be positive", ln)

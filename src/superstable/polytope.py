@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, inf, lcm
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .instance import Instance
 from .stability import STRONG, SUPER
@@ -44,16 +45,26 @@ def convex_combination(points, coefficients) -> dict:
     return combined
 
 
+# the row of a man without a nonzero entry
+_NO_ROW: Mapping[int, int] = MappingProxyType({})
+
+
 def _tier_sums(inst: Instance, point):
     """The point in index space, scaled to integers, with per-agent sums.
 
     Returns (scale, rows, men, women, negative).  ``scale`` is the lcm of
-    the denominators of the nonzero entries and ``rows[i]`` maps woman index
-    j to scale * x(m_i, w_j) for those entries.  ``men[i][r]`` (resp.
-    ``women[j][r]``) is scale times the agent's mass on tiers 1..r, so
-    index r - 1 is the strictly-better mass at rank r and index -1 the
-    vertex total.  ``negative`` lists, ascending, the men with a negative
-    entry.  Costs O(|point|) plus one slot per tier.
+    the denominators of the nonzero entries and ``rows`` maps each man index
+    i with such an entry to a dict from woman index j to scale * x(m_i, w_j).
+    ``men`` (resp. ``women``) is a pair (prefix, off) of flat lists: agent a
+    owns slots off[a] .. off[a] + its tier count, and prefix[off[a] + r] is
+    scale times its mass on tiers 1..r, so off[a] + r - 1 holds the
+    strictly-better mass at rank r and off[a + 1] - 1 the vertex total.
+    ``negative`` lists, ascending, the men with a negative entry.
+
+    Each entry adds its value at its rank's slot and takes it off again at
+    the next agent's first slot, so one ``accumulate`` over each side's list
+    leaves every agent's prefix starting from 0.  The cost is O(|point|)
+    plus one slot per tier and per agent, in two lists per side.
     """
     midx, widx = inst._midx, inst._widx
     man_rank, woman_rank = inst._man_rank, inst._woman_rank
@@ -69,17 +80,32 @@ def _tier_sums(inst: Instance, point):
             if q < 0:
                 negative.add(i)
     scale = lcm(*(q.denominator for _, _, q in entries))
-    rows: list[dict[int, int]] = [{} for _ in inst.men]
-    men = [[0] * (len(tiers) + 1) for tiers in inst._man_tiers]
-    women = [[0] * (len(tiers) + 1) for tiers in inst._woman_tiers]
+    mo, wo = _offsets(inst._man_tiers), _offsets(inst._woman_tiers)
+    pm, pw = [0] * (mo[-1] + 1), [0] * (wo[-1] + 1)
+    rows: dict[int, dict[int, int]] = {}
     for i, j, q in entries:
         v = q.numerator * (scale // q.denominator)
-        rows[i][j] = v
-        men[i][man_rank[i][j]] += v
-        women[j][woman_rank[j][i]] += v
-    men = [list(accumulate(sums)) for sums in men]
-    women = [list(accumulate(sums)) for sums in women]
-    return scale, rows, men, women, sorted(negative)
+        row = rows.get(i)
+        if row is None:
+            rows[i] = row = {}
+        row[j] = v
+        pm[mo[i] + man_rank[i][j]] += v
+        pm[mo[i + 1]] -= v
+        pw[wo[j] + woman_rank[j][i]] += v
+        pw[wo[j + 1]] -= v
+    return scale, rows, (list(accumulate(pm)), mo), (list(accumulate(pw)), wo), sorted(negative)
+
+
+def _offsets(tiers) -> list[int]:
+    """Each agent's first slot in a flat prefix list, and the end: an agent
+    with t tiers owns t + 1 slots."""
+    return list(accumulate(map((1).__add__, map(len, tiers)), initial=0))
+
+
+def _totals(side) -> list[int]:
+    """Each agent's total from a (prefix, off) pair of ``_tier_sums``."""
+    prefix, off = side
+    return [prefix[k - 1] for k in off[1:]]
 
 
 def check_point(inst: Instance, point, model: str = SUPER) -> list[Violation]:
@@ -108,32 +134,33 @@ def _violations(inst: Instance, sums, model: str) -> list[Violation]:
     report: list[Violation] = []
     vertex_tag = "1a" if model == SUPER else "3a"
     nonneg_tag = "1c" if model == SUPER else "3d"
-    for name, prefix in zip(inst.men + inst.women, men + women):
-        if prefix[-1] > scale:
-            report.append(Violation(vertex_tag, name, Fraction(prefix[-1], scale), "<= 1"))
+    for name, total in zip(inst.men + inst.women, _totals(men) + _totals(women)):
+        if total > scale:
+            report.append(Violation(vertex_tag, name, Fraction(total, scale), "<= 1"))
     # with nonnegative entries every term is nonnegative and the man's
     # strictly-better mass only grows along his list
     stop = inf if negative else scale
+    (pm, mo), (pw, wo) = men, women
     woman_rank = inst._woman_rank
     for i, ranks in enumerate(inst._man_rank):
-        pm, row = men[i], rows[i]
+        # pm[om + r] (resp. pw[ow]) is the strictly-better mass at rank r
+        om, row = mo[i] - 1, rows.get(i, _NO_ROW)
         for j, rm in ranks.items():
-            if pm[rm - 1] >= stop:
+            if pm[om + rm] >= stop:
                 break
-            pw = women[j]
-            rw = woman_rank[j][i]
+            ow = wo[j] + woman_rank[j][i] - 1
             if model == SUPER:
-                lhs = pm[rm - 1] + pw[rw - 1] + row.get(j, 0)
+                lhs = pm[om + rm] + pw[ow] + row.get(j, 0)
                 if lhs < scale:
                     edge = (inst.men[i], inst.women[j])
                     report.append(Violation("1b", edge, Fraction(lhs, scale), ">= 1"))
             else:
                 # the strictly-better mass at both ends plus one end's tie tier
-                lhs = pm[rm] + pw[rw - 1]
+                lhs = pm[om + rm + 1] + pw[ow]
                 if lhs < scale:
                     edge = (inst.men[i], inst.women[j])
                     report.append(Violation("3b", edge, Fraction(lhs, scale), ">= 1"))
-                lhs = pm[rm - 1] + pw[rw]
+                lhs = pm[om + rm] + pw[ow + 1]
                 if lhs < scale:
                     edge = (inst.men[i], inst.women[j])
                     report.append(Violation("3c", edge, Fraction(lhs, scale), ">= 1"))
@@ -162,22 +189,23 @@ def self_dual(inst: Instance, point):
     if _violations(inst, sums, SUPER):
         raise ValueError("point is not feasible for the super-stable system")
     scale, rows, men, women, _ = sums
+    (pm, mo), (pw, wo) = men, women
     woman_rank = inst._woman_rank
     for i, ranks in enumerate(inst._man_rank):
-        pm, row = men[i], rows[i]
+        om, row = mo[i] - 1, rows.get(i, _NO_ROW)
         for j, rm in ranks.items():
-            if pm[rm - 1] >= scale:
+            if pm[om + rm] >= scale:
                 break
             # alpha_m + alpha_w minus both ends' strictly-worse mass, minus x_e;
-            # it is at least pm[rm - 1], as x_e is part of the mass on tier rm
-            lhs = pm[rm] + women[j][woman_rank[j][i]] - row.get(j, 0)
+            # it is at least pm[om + rm], as x_e is part of the mass on tier rm
+            lhs = pm[om + rm + 1] + pw[wo[j] + woman_rank[j][i]] - row.get(j, 0)
             if lhs < scale:
                 raise RuntimeError(
                     f"dual constraint failed at ({inst.men[i]}, {inst.women[j]}): "
                     f"{Fraction(lhs, scale)} < 1"
                 )
-    totals = [prefix[-1] for prefix in men + women]
-    mass = sum(sum(row.values()) for row in rows)
+    totals = _totals(men) + _totals(women)
+    mass = sum(sum(row.values()) for row in rows.values())
     primal = Fraction(mass, scale)
     dual = Fraction(sum(totals) - mass, scale)
     if primal != dual:
@@ -186,7 +214,7 @@ def self_dual(inst: Instance, point):
         name: Fraction(total, scale) for name, total in zip(inst.men + inst.women, totals)
     }
     beta = dict.fromkeys(inst.edges, Fraction(0))
-    for i, row in enumerate(rows):
+    for i, row in rows.items():
         for j, v in row.items():
             beta[(inst.men[i], inst.women[j])] = Fraction(v, scale)
     return DualCertificate(alpha, beta), primal, dual

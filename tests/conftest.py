@@ -385,10 +385,10 @@ def reference_instance(men, women, prefs):
     inst._midx = {m: i for i, m in enumerate(inst.men)}
     inst._widx = {w: j for j, w in enumerate(inst.women)}
     inst._man_tiers = [
-        [[inst._widx[w] for w in tier] for tier in normalized[m]] for m in inst.men
+        [tuple(inst._widx[w] for w in tier) for tier in normalized[m]] for m in inst.men
     ]
     inst._woman_tiers = [
-        [[inst._midx[m] for m in tier] for tier in normalized[w]] for w in inst.women
+        [tuple(inst._midx[m] for m in tier) for tier in normalized[w]] for w in inst.women
     ]
     inst._man_rank = [
         {w: t + 1 for t, tier in enumerate(tiers) for w in tier}
@@ -492,6 +492,48 @@ def reference_parse_instance(text):
         return reference_instance(men, women, prefs)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+
+
+# -- per-line reference for edge-value files -----------------------------------
+# This is the package's earlier ``parse_edge_values``, which parses every
+# line's rational on its own, with the token check written out character by
+# character.  The differential test compares the token-sharing parse with it.
+
+_REF_DIGITS = frozenset("0123456789")
+
+
+def reference_parse_edge_values(inst, text):
+    """``parse_edge_values`` with one ``Fraction`` parsed per line."""
+    values = {}
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError("expected '<man> <woman> <rational>'", ln)
+        m, w, value = parts
+        if not inst.is_edge(m, w):
+            raise ParseError(f"({m}, {w}) is not an edge of the instance", ln)
+        if (m, w) in values:
+            raise ParseError(f"duplicate line for edge ({m}, {w})", ln)
+        values[(m, w)] = _reference_fraction(value, ln)
+    return values
+
+
+def _reference_fraction(token, ln):
+    """An integer or ``p/q``, each part ASCII digits after an optional sign."""
+    num, slash, den = token.partition("/")
+    parts = [num, den] if slash else [num]
+    for part in parts:
+        digits = part[1:] if part[:1] in ("+", "-") else part
+        if not digits or not set(digits) <= _REF_DIGITS:
+            raise ParseError(f"bad rational {token!r}", ln)
+    p = int(num)
+    q = int(den) if slash else 1
+    if q <= 0:
+        raise ParseError(f"bad rational {token!r}: denominator must be positive", ln)
+    return Fraction(p, q)
 
 
 # -- edge-set reference for the proposal/deletion solver ----------------------

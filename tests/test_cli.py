@@ -280,6 +280,13 @@ def test_exit_codes(capsys, tmp_path, i1_file):
     point.write_text("a x 1/0\n")
     code, _, err = run(capsys, "check-polytope", i1_file, "--point", str(point))
     assert code == 2 and "denominator" in err
+    # int() alone would read these as 10 and 3
+    weights.write_text("a x 1_0\n")
+    code, out, err = run(capsys, "maxweight", i1_file, "--weights", str(weights))
+    assert code == 2 and "line 1: bad rational '1_0'" in err and not out
+    point.write_text("a x \u0663\n", encoding="utf-8")
+    code, out, err = run(capsys, "check-polytope", i1_file, "--point", str(point))
+    assert code == 2 and "line 1: bad rational" in err and not out
 
 
 def test_no_input_mutation(capsys, i1_file):

@@ -1,5 +1,7 @@
+import gc
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +9,7 @@ from superstable import (
     Instance,
     ParseError,
     load_weights,
+    parse_edge_values,
     parse_instance,
     random_instance,
     serialize_instance,
@@ -16,6 +19,7 @@ from conftest import (
     I2_TEXT,
     NON_MUTUAL_TEXT,
     reference_instance,
+    reference_parse_edge_values,
     reference_parse_instance,
     swap_sides,
 )
@@ -189,6 +193,117 @@ def test_weights_file(i1):
         load_weights(i1, "a x 1/0\n")
     with pytest.raises(ParseError, match="bad rational"):
         load_weights(i1, "a x one\n")
+
+
+def test_rational_tokens_are_ascii_digits_with_a_sign():
+    inst = parse_instance(I1_TEXT)
+    for token, want in [("7", 7), ("-1/2", Fraction(-1, 2)), ("+4/6", Fraction(2, 3)),
+                        ("007", 7), ("-0", 0), ("3/+9", Fraction(1, 3))]:
+        assert parse_edge_values(inst, f"b y 1\na x {token}\n")[("a", "x")] == want
+    bad = ["1_0", "1_0/3", "3/1_0", "\u0663", "\uff12", "1/\u0663", "1.5", "1e3",
+           "0x10", "--1", "+-1", "1/", "/2", "1//2", "1/2/3", "\u00b2"]
+    for token in bad:
+        with pytest.raises(ParseError) as err:
+            parse_edge_values(inst, f"b y 1\n\na x {token}\n")
+        assert str(err.value) == f"line 3: bad rational {token!r}", token
+        assert err.value.line == 3
+    for token in ("1/0", "2/-3", "-2/-0"):
+        with pytest.raises(ParseError, match="denominator must be positive"):
+            parse_edge_values(inst, f"a x {token}\n")
+
+
+def _values_outcome(parse, inst, text):
+    """The parsed items in order, or the error's type, text and line."""
+    try:
+        values = parse(inst, text)
+    except ParseError as exc:
+        return ParseError, str(exc), exc.line
+    assert all(type(v) is Fraction for v in values.values())
+    return list(values.items())
+
+
+_TOKENS = ["0", "1", "-1", "3", "+2", "1/2", "-3/4", "4/6", "007", "-0",
+           "12345678901234567890/7", "1/3", "2/+5"]
+
+
+def _values_text(rng, inst):
+    """A valid edge-value file: a random subset of the edges in random order,
+    tokens drawn from a small pool, with comments, blank lines and mixed
+    whitespace."""
+    edges = rng.sample(inst.edges, rng.randint(0, len(inst.edges)))
+    gap = lambda: rng.choice([" ", "  ", "\t"])  # noqa: E731
+    lines = []
+    for m, w in edges:
+        line = gap().join((m, w, rng.choice(_TOKENS)))
+        if rng.random() < 0.2:
+            line = rng.choice(["", " "]) + line + gap() + "# note 1/0 x"
+        lines.append(line)
+        if rng.random() < 0.15:
+            lines.append(rng.choice(["", "   ", "# comment", "\t# a b 1"]))
+    return "\n".join(lines) + "\n"
+
+
+def _values_mutant(rng, text, inst):
+    """``text`` with one ASCII edit: a field dropped or added, a non-edge, a
+    repeated line, a bad rational or a zero or negative denominator, a
+    comment-only or blank line, or one character inserted or deleted."""
+    lines = text.splitlines()
+    body = [k for k, line in enumerate(lines) if line.split("#", 1)[0].strip()]
+    kind = rng.randrange(8)
+    if kind == 0 or not body:
+        pos = rng.randrange(len(text) + 1)
+        return text[:pos] + rng.choice("0123456789/+-_ #\tabxy\n") + text[pos:]
+    k = rng.choice(body)
+    fields = lines[k].split("#", 1)[0].split()
+    if kind == 1:
+        del fields[rng.randrange(3)]
+    elif kind == 2:
+        fields.insert(rng.randrange(4), rng.choice(["1", "x", "a"]))
+    elif kind == 3:
+        fields[rng.randrange(2)] = rng.choice(inst.men + inst.women + ("q",))
+    elif kind == 4:
+        lines.insert(rng.randrange(len(lines) + 1), lines[k])
+        return "\n".join(lines) + "\n"
+    elif kind == 5:
+        fields[2] = rng.choice(["1/0", "-3/0", "1/-2", "2/-0", "1/", "/3", "--1", "1_0",
+                                "1.5", "one", "1/2/3", "+", "-"])
+    elif kind == 6:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  ", "# only 1/0"]))
+        return "\n".join(lines) + "\n"
+    else:
+        pos = rng.randrange(len(text))
+        return text[:pos] + text[pos + 1:]
+    lines[k] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def test_edge_values_match_per_line_reference():
+    rng = random.Random(4109)
+    outcomes = {"ok": 0, "error": 0}
+    for _ in range(300):
+        inst = random_instance(rng.randint(1, 5), rng.randint(1, 5), 0.7, 0.3, rng.randrange(10**6))
+        text = _values_text(rng, inst)
+        got = _values_outcome(parse_edge_values, inst, text)
+        assert isinstance(got, list), text
+        assert got == _values_outcome(reference_parse_edge_values, inst, text), text
+        for _ in range(4):
+            broken = _values_mutant(rng, text, inst)
+            got = _values_outcome(parse_edge_values, inst, broken)
+            assert got == _values_outcome(reference_parse_edge_values, inst, broken), broken
+            outcomes["ok" if isinstance(got, list) else "error"] += 1
+    # the mutations reach both outcomes
+    assert outcomes["ok"] > 150 and outcomes["error"] > 600, outcomes
+
+
+def test_index_tiers_leave_garbage_collector_tracking():
+    # the build allocates O(m) small containers; the collector walks them no
+    # longer once they hold nothing it tracks
+    inst = parse_instance(serialize_instance(random_instance(30, 30, 0.5, 0.3, seed=4110)))
+    gc.collect()
+    tiers = [t for side in (inst._man_tiers, inst._woman_tiers) for ts in side for t in ts]
+    assert len(tiers) > 400
+    assert not any(map(gc.is_tracked, tiers))
+    assert not any(map(gc.is_tracked, inst._man_rank + inst._woman_rank))
 
 
 # -- the index-space build against the per-token reference --------------------

@@ -258,20 +258,63 @@ def test_index_kernels_match_by_name_references_at_scale():
                     inst, matching, criterion
                 ), (k, criterion, sorted(matching))
         for x in points:
-            for model in ("super", "strong"):
-                got = check_point(inst, x, model)
-                assert got == check_point_by_name(inst, x, model), (k, model)
-                assert all(type(v.lhs) is Fraction for v in got), (k, model)
-            got, expected = outcome(self_dual, inst, x), outcome(self_dual_by_name, inst, x)
-            assert got == expected, k
-            if not isinstance(got[0], type):
+            if kernels_agree(inst, x, k):
                 fractional += any(v.denominator > 1 for v in x.values())
-                cert = got[0]
-                assert list(cert.alpha) == list(expected[0].alpha), k
-                assert list(cert.beta) == list(expected[0].beta), k
-                values = [*cert.alpha.values(), *cert.beta.values(), *got[1:]]
-                assert all(type(v) is Fraction for v in values), k
     assert feasible >= 6 and tied >= 3 and fractional >= 8, (feasible, tied, fractional)
+
+
+def kernels_agree(inst, x, k) -> bool:
+    """Assert that ``check_point`` and ``self_dual`` give what the by-name
+    references give, in value, type and dict order; True when ``x`` got a
+    certificate."""
+    for model in ("super", "strong"):
+        got = check_point(inst, x, model)
+        assert got == check_point_by_name(inst, x, model), (k, model)
+        assert all(type(v.lhs) is Fraction for v in got), (k, model)
+    got, expected = outcome(self_dual, inst, x), outcome(self_dual_by_name, inst, x)
+    assert got == expected, k
+    if isinstance(got[0], type):
+        return False
+    cert = got[0]
+    assert list(cert.alpha) == list(expected[0].alpha), k
+    assert list(cert.beta) == list(expected[0].beta), k
+    values = [*cert.alpha.values(), *cert.beta.values(), *got[1:]]
+    assert all(type(v) is Fraction for v in values), k
+    return True
+
+
+def with_idle_agents(inst):
+    """``inst`` with agents of empty lists inserted on both sides, at the
+    front, in the middle and at the end."""
+    sides = [list(inst.men), list(inst.women)]
+    for side, prefix in zip(sides, ("im", "iw")):
+        for k in range(3):
+            side.insert((0, len(side) // 2, len(side))[k], f"{prefix}{k}")
+    return Instance(*sides, inst.prefs)
+
+
+def test_flat_prefix_kernels_on_idle_agents_sparse_points_and_long_ties():
+    rng = random.Random(58_200)
+    inputs = [with_idle_agents(block_union(58_200 + k, n, 0.3)) for k, n in enumerate((6, 24))]
+    # complete lists of 30 and 60 partners with many tie tiers
+    long_ties = [random_instance(n, n, 1.0, 0.3, seed=58_210 + n) for n in (30, 60)]
+    assert max(len(tiers) for tiers in long_ties[1].prefs.values()) >= 35
+    inputs += [with_idle_agents(inst) for inst in long_ties]
+    inputs += [with_idle_agents(SINGLE_EDGE), Instance(["a", "b"], ["x"], {})]
+    values = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(-1, 3), Fraction(5, 2), 1, 0]
+    certified = negative = 0
+    for k, inst in enumerate(inputs):
+        chain = maximal_sequence(inst)
+        points = [incidence_vector(m) for m in chain[:1] + chain[-1:]] + [{}]
+        points += [random_point(inst, rng) for _ in range(3)]
+        for _ in range(8 if inst.edges else 0):
+            # a point on one to three edges touches only a few agents
+            few = rng.sample(inst.edges, min(len(inst.edges), rng.randint(1, 3)))
+            points.append({e: rng.choice(values) for e in few})
+        for x in points:
+            certified += kernels_agree(inst, x, k)
+            negative += any(v < 0 for v in x.values())
+    assert certified >= 6 and negative >= 10, (certified, negative)
 
 
 @st.composite
