@@ -64,26 +64,40 @@ def _edge_optima(inst: Instance):
     """The irreducible family read off the rotation poset, or None when
     infeasible.
 
-    Returns ``(matchings, closures, owner)``.  Element 0 is the top matching;
-    element r + 1 is the matching after ``closures[r + 1]``, the down-closure
-    of rotation r (``closures[0]`` is empty).  ``owner`` maps each edge of
-    some super-stable matching to the element that is the man-optimal
-    matching through it: the top matching's edges to 0, the edges a rotation
-    adds to that rotation's element.
+    Returns ``(matchings, covers, owner)``.  Element 0 is the top matching;
+    element r + 1 is the matching after the down-closure of rotation r.
+    ``covers`` holds the pairs (i, k) where element k covers element i: the
+    top matching under each rotation without predecessors, and the
+    transitive reduction of the arcs.  ``owner`` maps each edge of some
+    super-stable matching to the element that is the man-optimal matching
+    through it: the top matching's edges to 0, the edges a rotation adds to
+    that rotation's element.
     """
     built = build_poset(inst)
     if built is None:
         return None
     first, poset = built
     matchings = [first]
-    closures: list[set[int]] = [set()]
+    covers: list[tuple[int, int]] = []
     owner = dict.fromkeys(first, 0)
+    closures: list[int] = []  # per rotation, its down-closure as a bitset of positions
     # discovery order is a linear extension: predecessors come first
-    for k, (rot, preds) in enumerate(zip(poset.rotations, poset.predecessors())):
-        closures.append({k}.union(*(closures[i + 1] for i in preds)))
-        matchings.append(matching_of(first, poset.rotations, closures[-1]))
-        owner.update(dict.fromkeys(rot.added, k + 1))
-    return matchings, closures, owner
+    for r, (rot, preds) in enumerate(zip(poset.rotations, poset.predecessors())):
+        closure = 1 << r
+        beneath = 0  # the rotations strictly below some direct predecessor
+        for p in preds:
+            closure |= closures[p]
+            beneath |= closures[p] ^ (1 << p)
+        closures.append(closure)
+        # a direct predecessor below no other one is covered; some always
+        # is, so only a rotation without predecessors covers the top
+        covers.extend((p + 1, r + 1) for p in preds if not beneath >> p & 1)
+        if not preds:
+            covers.append((0, r + 1))
+        members = [i for i in range(r + 1) if closure >> i & 1]
+        matchings.append(matching_of(first, poset.rotations, members))
+        owner.update(dict.fromkeys(rot.added, r + 1))
+    return matchings, covers, owner
 
 
 def optimal_with_edge(inst: Instance, edge):
@@ -117,8 +131,13 @@ def p_set(inst: Instance, matching) -> frozenset:
     indexed = _indexed(inst, matching)
     if _blocking(inst, indexed):
         raise ValueError("p_set is defined for super-stable matchings only")
+    return _prefix_pairs(inst, indexed[1])
+
+
+def _prefix_pairs(inst: Instance, mate_of_man) -> frozenset:
+    """The P-set of the matching with these partner indices, unchecked."""
     pairs = []
-    for i, held in enumerate(indexed[1]):
+    for i, held in enumerate(mate_of_man):
         if held < 0:
             continue
         ranks = inst._man_rank[i]
@@ -139,21 +158,35 @@ class IrreducibleElement:
 
 @dataclass(frozen=True)
 class IrreduciblePoset:
-    """Distinct edge-minimal matchings ordered by strict P-set containment."""
+    """Distinct edge-minimal matchings ordered by strict P-set containment.
+
+    The order is held as its Hasse diagram, ``_covers``: the sorted pairs
+    (i, j) where element j covers element i.  ``order`` is its transitive
+    closure, derived on each read.
+    """
 
     elements: tuple[IrreducibleElement, ...]
-    order: frozenset  # (i, j) with elements[i].pairs a proper subset of elements[j].pairs
+    _covers: tuple
+
+    @property
+    def order(self) -> frozenset:
+        """(i, j) with elements[i].pairs a proper subset of elements[j].pairs."""
+        above: dict[int, list[int]] = {}
+        for i, j in self._covers:
+            above.setdefault(i, []).append(j)
+        order = set()
+        for i in range(len(self.elements)):
+            stack = [i]
+            while stack:
+                for j in above.get(stack.pop(), ()):
+                    if (i, j) not in order:
+                        order.add((i, j))
+                        stack.append(j)
+        return frozenset(order)
 
     def covers(self) -> list[tuple[int, int]]:
         """The Hasse diagram of the containment order."""
-        below: dict[int, set[int]] = {}
-        for i, j in self.order:
-            below.setdefault(j, set()).add(i)
-        out = []
-        for i, j in sorted(self.order):
-            if not any((i, k) in self.order for k in below.get(j, ())):
-                out.append((i, j))
-        return out
+        return list(self._covers)
 
 
 def irreducible_poset(inst: Instance) -> IrreduciblePoset:
@@ -161,29 +194,27 @@ def irreducible_poset(inst: Instance) -> IrreduciblePoset:
 
     Elements (the top matching and one per rotation) follow their first
     witness in ``inst.edges``.  By Birkhoff's representation theorem their
-    P-set containment order is the rotation order: the top matching lies
-    below every other element, and rotation r's element below rotation s's
-    exactly when r is in the down-closure of s.  Raises
-    NoSuperStableMatching when infeasible.
+    P-set containment order is the rotation order, so its Hasse diagram is
+    read off the rotation arcs: the top matching lies below each rotation
+    without predecessors, and the transitive reduction of the arcs gives the
+    other covers.  Every element is super-stable, so its P-set skips
+    ``p_set``'s check.  Raises NoSuperStableMatching when infeasible.
     """
     found = _edge_optima(inst)
     if found is None:
         raise NoSuperStableMatching("instance admits no super-stable matching")
-    matchings, closures, owner = found
+    matchings, covers, owner = found
     witnesses: dict[int, list[tuple[str, str]]] = {}
     for edge in inst.edges:
         if edge in owner:
             witnesses.setdefault(owner[edge], []).append(edge)
     position = {element: i for i, element in enumerate(witnesses)}
     elements = tuple(
-        IrreducibleElement(matchings[k], tuple(wit), p_set(inst, matchings[k]))
+        IrreducibleElement(
+            matchings[k], tuple(wit), _prefix_pairs(inst, _indexed(inst, matchings[k])[1])
+        )
         for k, wit in witnesses.items()
     )
-    # a rotation exists only below a nonempty top matching, which has witnesses
-    order = frozenset(
-        (position[below], j)
-        for k, j in position.items()
-        if k
-        for below in (0, *(r + 1 for r in closures[k] if r + 1 != k))
-    )
-    return IrreduciblePoset(elements, order)
+    # a rotation exists only below a nonempty top matching, which has
+    # witnesses, and each rotation's added pairs witness its element
+    return IrreduciblePoset(elements, tuple(sorted((position[i], position[k]) for i, k in covers)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import chain, count, repeat
 from operator import contains
@@ -426,7 +427,12 @@ def _parse_fraction(token: str, ln: int) -> Fraction:
         p = int(num)
         q = 1 if den is None else int(den)
     except ValueError:  # more digits than the interpreter converts
-        raise ParseError(f"bad rational {token!r}", ln) from None
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(
+            f"rational {token[:20]}... ({len(token)} characters) has a part"
+            f" longer than the limit of {limit} digits",
+            ln,
+        ) from None
     if q <= 0:
         raise ParseError(f"bad rational {token!r}: denominator must be positive", ln)
     return Fraction(p, q)

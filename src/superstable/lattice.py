@@ -10,7 +10,13 @@ from math import lcm
 from typing import Iterator
 
 from .instance import Instance
-from .rotations import RotationPoset, maximal_sequence, precedence_digraph, rotations_of
+from .rotations import (
+    RotationPoset,
+    _eliminate,
+    maximal_sequence,
+    precedence_digraph,
+    rotations_of,
+)
 from .stability import _blocking, _indexed, validate_matching
 
 
@@ -19,19 +25,10 @@ def matching_of(first, rotations, subset) -> frozenset:
 
     Discovery order is a linear extension of precedence, so eliminating in
     ascending position works for every closed subset; the result does not
-    depend on the elimination order.  A rotation whose removed pairs are not
-    all present signals a non-closed subset or a corrupted poset.
+    depend on the elimination order.  Raises ValueError for a non-closed
+    subset or a member that names no rotation.
     """
-    current = set(first)
-    for k in sorted(set(subset)):
-        if not 0 <= k < len(rotations):
-            raise ValueError(f"subset member {k!r} names no rotation")
-        rot = rotations[k]
-        if not rot.removed <= current:
-            raise ValueError(f"rotation {k} is not exposed; the subset is not closed")
-        current -= rot.removed
-        current |= rot.added
-    return frozenset(current)
+    return _eliminate(first, rotations, subset)
 
 
 def closed_subsets(poset: RotationPoset) -> Iterator[frozenset]:

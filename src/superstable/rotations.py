@@ -38,6 +38,23 @@ class RotationPoset:
         return [frozenset(s) for s in direct]
 
 
+def _eliminate(first, rotations, subset) -> frozenset:
+    """The top matching after the rotations at the chosen positions: the
+    replay behind ``lattice.matching_of`` and ``precedence_digraph``'s check
+    of its input.  A rotation not exposed at its turn means a non-closed
+    subset or corrupt rotations."""
+    current = set(first)
+    for k in sorted(set(subset)):
+        if not 0 <= k < len(rotations):
+            raise ValueError(f"subset member {k!r} names no rotation")
+        rot = rotations[k]
+        if not rot.removed <= current:
+            raise ValueError(f"rotation {k} is not exposed at its turn")
+        current -= rot.removed
+        current |= rot.added
+    return frozenset(current)
+
+
 def maximal_sequence(inst: Instance) -> list[frozenset]:
     """A maximal chain of super-stable matchings, best-for-men first.
 
@@ -83,12 +100,7 @@ def precedence_digraph(inst: Instance, first, rotations) -> RotationPoset:
     closure of the arcs is the full precedence order.
     """
     first = validate_matching(inst, first)
-    current = set(first)
-    for k, rot in enumerate(rotations):
-        if not rot.removed <= current:
-            raise ValueError(f"rotation {k} is not exposed at its turn")
-        current -= rot.removed
-        current |= rot.added
+    _eliminate(first, rotations, range(len(rotations)))
 
     midx, widx = inst._midx, inst._widx
     man_rank, woman_rank = inst._man_rank, inst._woman_rank

@@ -287,6 +287,14 @@ def test_exit_codes(capsys, tmp_path, i1_file):
     point.write_text("a x \u0663\n", encoding="utf-8")
     code, out, err = run(capsys, "check-polytope", i1_file, "--point", str(point))
     assert code == 2 and "line 1: bad rational" in err and not out
+    # past the interpreter's digit limit: named, with the token shortened
+    long = "1" * 5000
+    weights.write_text(f"a x {long}\n")
+    code, out, err = run(capsys, "maxweight", i1_file, "--weights", str(weights))
+    assert code == 2 and "limit of" in err and long not in err and not out
+    point.write_text(f"a x 1/{long}\n")
+    code, out, err = run(capsys, "check-polytope", i1_file, "--point", str(point))
+    assert code == 2 and "limit of" in err and long not in err and not out
 
 
 def test_no_input_mutation(capsys, i1_file):

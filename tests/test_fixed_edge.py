@@ -204,6 +204,7 @@ def test_poset_route_matches_per_edge_route_at_scale():
 
 
 def test_irreducible_family_laws_at_scale():
+    redundant = 0  # inputs whose rotation arcs include a transitive one
     for seed in range(47_000, 47_006):
         inst = random_instance(80, 80, 0.5, 0.0, seed=seed)
         first, rotation_poset = build_poset(inst)
@@ -220,6 +221,19 @@ def test_irreducible_family_laws_at_scale():
             if a.pairs < b.pairs
         }
         assert poset.order == containment, seed
+        nodes = range(len(poset.elements))
+        hasse = sorted(
+            (i, j)
+            for i, j in containment
+            if not any((i, k) in containment and (k, j) in containment for k in nodes)
+        )
+        assert poset.covers() == hasse, seed
+        arcs = rotation_poset.arcs
+        assert len(poset.covers()) <= len(rotation_poset.rotations) + len(arcs), seed
+        # covers are the top's over the minimal rotations plus the reduced arcs
+        minimal = sum(1 for preds in rotation_poset.predecessors() if not preds)
+        redundant += len(arcs) - (len(hasse) - minimal) > 0
+    assert redundant >= 5  # the reduction has arcs to drop
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -210,6 +211,22 @@ def test_rational_tokens_are_ascii_digits_with_a_sign():
     for token in ("1/0", "2/-3", "-2/-0"):
         with pytest.raises(ParseError, match="denominator must be positive"):
             parse_edge_values(inst, f"a x {token}\n")
+
+
+def test_rationals_past_the_digit_limit_name_it():
+    # Fraction and str() of one would hit the interpreter's limit anyway
+    inst = parse_instance(I1_TEXT)
+    limit = sys.get_int_max_str_digits()
+    assert parse_edge_values(inst, "a x " + "1" * limit + "\n")[("a", "x")] == int("1" * limit)
+    long = "1" * 5000
+    weights = f"b y 1\na x {long}\n"
+    point = f"a x 1/2\nb y 1/2\na y 2/{long}\n"
+    for text, line in ((weights, 2), (point, 3)):
+        with pytest.raises(ParseError) as err:
+            parse_edge_values(inst, text)
+        assert err.value.line == line
+        assert f"limit of {limit} digits" in str(err.value)
+        assert len(str(err.value)) < 120  # the token is shortened, not echoed
 
 
 def _values_outcome(parse, inst, text):
