@@ -6,7 +6,7 @@ import random
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, count, repeat
+from itertools import chain, filterfalse, repeat
 from operator import contains
 from typing import Iterable, Mapping, Sequence
 
@@ -70,24 +70,22 @@ class Instance:
     ):
         self.men = tuple(men)
         self.women = tuple(women)
-        for name in self.men + self.women:
-            if not _NAME.match(name):
-                raise ValueError(f"bad agent name {name!r}")
-        if len(set(self.men)) != len(self.men):
-            raise ValueError("duplicate name on the men side")
-        if len(set(self.women)) != len(self.women):
-            raise ValueError("duplicate name on the women side")
-        overlap = set(self.men) & set(self.women)
-        if overlap:
-            raise ValueError(f"name declared on both sides: {sorted(overlap)[0]}")
-
-        known = set(self.men) | set(self.women)
-        for name in prefs:
-            if name not in known:
-                raise ValueError(f"preferences given for unknown agent {name!r}")
-
+        bad = next(filterfalse(_NAME.match, self.men + self.women), None)
+        if bad is not None:
+            raise ValueError(f"bad agent name {bad!r}")
         self._midx = {m: i for i, m in enumerate(self.men)}
         self._widx = {w: j for j, w in enumerate(self.women)}
+        if len(self._midx) != len(self.men):
+            raise ValueError("duplicate name on the men side")
+        if len(self._widx) != len(self.women):
+            raise ValueError("duplicate name on the women side")
+        overlap = self._midx.keys() & self._widx.keys()
+        if overlap:
+            raise ValueError(f"name declared on both sides: {sorted(overlap)[0]}")
+        for name in prefs:
+            if name not in self._midx and name not in self._widx:
+                raise ValueError(f"preferences given for unknown agent {name!r}")
+
         self.prefs: dict[str, tuple[tuple[str, ...], ...]] = {}
         self._man_tiers, self._man_rank = _index_lists(
             self.men, self._widx, prefs, self.prefs
@@ -129,7 +127,11 @@ class Instance:
 
     def neighbors(self, name: str) -> tuple[str, ...]:
         """Acceptable partners of ``name`` in preference order (ties flattened)."""
-        return tuple(p for tier in self.prefs[name] for p in tier)
+        try:
+            tiers = self.prefs[name]
+        except KeyError:
+            raise ValueError(f"unknown agent {name!r}") from None
+        return tuple(p for tier in tiers for p in tier)
 
     def man_rank(self, man: str, woman: str) -> int:
         """1-based tier index of ``woman`` in ``man``'s list."""
@@ -168,11 +170,21 @@ def _index_lists(names, opposite, prefs, normalized):
     its first pass and never tracks a dict of ints, so the index data does
     not keep it busy.
 
+    Each small immutable value is held once per side, whatever the caller
+    passed: every one-member tier, in strict and tied lists alike, is the
+    one ``(name,)`` tuple of the declared name in ``normalized`` and the one
+    ``(index,)`` tuple in the index tiers, and every rank is an int from one
+    pool, since Python caches no int above 256.  So a strict list costs one
+    pointer per entry in each.
+
     A list maps in a few C-level passes over its entries.  One with a name
     not on the opposite side, an empty tier or a repeated entry is checked
     member by member instead, to raise the error for its first fault.
     """
     lookup = opposite.__getitem__
+    name_singles = [(other,) for other in opposite]
+    index_singles = [(j,) for j in opposite.values()]
+    rank_pool = tuple(range(1, len(opposite) + 1))
     index_tiers, rank_maps = [], []
     for name in names:
         tiers: list[tuple] = []
@@ -184,20 +196,31 @@ def _index_lists(names, opposite, prefs, normalized):
             raise
         try:
             flat = list(map(lookup, chain.from_iterable(tiers)))
-            if len(flat) == len(tiers):  # one member per tier, unless one is empty
-                indices = [(p,) for p in flat]
-                ranks = dict(zip(flat, count(1)))
+            strict = len(flat) == len(tiers)  # one member per tier, unless one is empty
+            if strict:
+                ranks = dict(zip(flat, rank_pool))
             else:
-                indices = list(map(tuple, map(map, repeat(lookup), tiers)))
                 sizes = map(len, tiers)
-                ranks = dict(zip(flat, chain.from_iterable(map(repeat, count(1), sizes))))
+                ranks = dict(zip(flat, chain.from_iterable(map(repeat, rank_pool, sizes))))
             clean = all(tiers) and len(ranks) == len(flat)
         except (KeyError, TypeError):
             clean = False
         if not clean:
             _check_members(name, tiers, opposite)
             raise RuntimeError(f"{name!r}'s list rejected without a fault")
-        normalized[name] = tuple(tiers)
+        if strict:
+            normalized[name] = tuple([name_singles[p] for p in flat])
+            indices = [index_singles[p] for p in flat]
+        else:
+            indices = []
+            for k, tier in enumerate(tiers):
+                if len(tier) == 1:
+                    j = lookup(tier[0])
+                    indices.append(index_singles[j])
+                    tiers[k] = name_singles[j]
+                else:
+                    indices.append(tuple(map(lookup, tier)))
+            normalized[name] = tuple(tiers)
         index_tiers.append(indices)
         rank_maps.append(ranks)
     return index_tiers, rank_maps
@@ -234,8 +257,11 @@ def parse_instance(text: str) -> Instance:
 
     Each preference line is checked by one full regex match, linear in its
     length, and split in one call (``str.split`` without tie groups, one
-    ``findall`` with them); ``Instance`` then maps every list to indices in
-    a few C-level passes, so the cost is a small constant per list entry.
+    ``findall`` with them).  Each entry of a plain line becomes the one
+    shared ``(name,)`` tuple of its declared name, so the line allocates no
+    tuple per entry and keeps none of its split strings.  ``Instance`` then
+    maps every list to indices in a few C-level passes, sharing each
+    one-member tier, so the cost is a small constant per list entry.
     Only a line that fails its match is scanned token by token, to report
     the first fault with its column.
     """
@@ -272,12 +298,19 @@ def parse_instance(text: str) -> Instance:
     if men is None or women is None:
         raise ParseError("missing men:/women: headers", last_line or 1)
 
+    # one shared one-member tier per declared name; a line naming an
+    # undeclared agent keeps tuples of its own, which ``Instance`` rejects
+    single = {name: (name,) for name in chain(men, women)}
     prefs: dict[str, tuple[tuple[str, ...], ...]] = {}
     for ln, agent, rest in pref_lines:
         if agent in prefs:
             raise ParseError(f"duplicate preference line for {agent!r}", ln)
         if _PLAIN_LINE.fullmatch(rest):
-            prefs[agent] = tuple(zip(rest.split()))
+            entries = rest.split()
+            try:
+                prefs[agent] = tuple(map(single.__getitem__, entries))
+            except KeyError:
+                prefs[agent] = tuple(zip(entries))
         elif _TIED_LINE.fullmatch(rest):
             prefs[agent] = tuple(
                 tuple(group.split()) if group else (name,)
@@ -286,9 +319,8 @@ def parse_instance(text: str) -> Instance:
         else:
             _raise_first_bad_token(rest, agent, ln)
 
-    known = set(men) | set(women)
     for ln, agent, _ in pref_lines:
-        if agent not in known:
+        if agent not in single:
             raise ParseError(f"unknown agent name {agent!r}", ln)
     try:
         return Instance(men, women, prefs)

@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from superstable import (
     parse_edge_values,
     parse_instance,
     random_instance,
+    reduce_for_edge,
     serialize_instance,
 )
 from conftest import (
@@ -118,6 +120,8 @@ def test_man_and_woman_rank_examples(i1, i2, i3):
         i1.woman_rank("a", "x")  # the sides swapped
     with pytest.raises(ValueError, match="not an edge"):
         i3.woman_rank("x", "b")  # not an edge
+    with pytest.raises(ValueError, match="unknown agent 'q'"):
+        i1.neighbors("q")
 
 
 def test_rank_consistent_with_tiers(i3):
@@ -321,6 +325,65 @@ def test_index_tiers_leave_garbage_collector_tracking():
     assert len(tiers) > 400
     assert not any(map(gc.is_tracked, tiers))
     assert not any(map(gc.is_tracked, inst._man_rank + inst._woman_rank))
+
+
+def _assert_one_object_per_value(inst):
+    """Each one-member tier is one object per member, in ``prefs`` and in the
+    index tiers alike, and each rank value one int per side.  Returns the
+    number of one-member tiers."""
+    singles = 0
+    for names, side_tiers, side_ranks in (
+        (inst.men, inst._man_tiers, inst._man_rank),
+        (inst.women, inst._woman_tiers, inst._woman_rank),
+    ):
+        by_name, by_index, by_rank = {}, {}, {}
+        for name, index_tiers, ranks in zip(names, side_tiers, side_ranks):
+            assert len(inst.prefs[name]) == len(index_tiers)
+            for tier, index_tier in zip(inst.prefs[name], index_tiers):
+                if len(tier) == 1:
+                    singles += 1
+                    assert by_name.setdefault(tier[0], tier) is tier
+                    assert by_index.setdefault(index_tier[0], index_tier) is index_tier
+            for rank in ranks.values():
+                assert by_rank.setdefault(rank, rank) is rank
+    return singles
+
+
+def test_one_member_tiers_are_shared():
+    # the women's lists run past 256, where ``int`` stops caching values
+    plain = parse_instance(serialize_instance(random_instance(300, 3, 1.0, 0.0, seed=4301)))
+    assert max(plain._woman_rank[0].values()) == 300
+    text = serialize_instance(random_instance(30, 30, 0.6, 0.3, seed=4302))
+    assert "(" in text
+    built = random_instance(30, 30, 0.6, 0.3, seed=4303)
+    reduced = reduce_for_edge(built, built.edges[7])
+    for inst in (plain, parse_instance(text), built, reduced):
+        assert _assert_one_object_per_value(inst) > 2 * len(inst.men + inst.women)
+
+
+def _retained_bytes_per_edge(text):
+    """Bytes that ``parse_instance`` leaves allocated, per edge of the result."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        inst = parse_instance(text)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return retained / len(inst.edges)
+
+
+def test_instance_memory_ceiling():
+    # a strict list holds a pointer per entry in each of ``prefs`` and the
+    # index tiers; with the rank maps and the edge tuples that measured
+    # 181 B/edge on Python 3.10-3.12, and a fresh one-member tuple per entry
+    # in both cost 459-476
+    strict = serialize_instance(random_instance(120, 120, 1.0, 0.0, seed=4300))
+    assert _retained_bytes_per_edge(strict) <= 250
+    # tie groups keep tuples of their own: 265-273 B/edge, 402-418 unshared
+    tied = serialize_instance(random_instance(120, 120, 1.0, 0.3, seed=4300))
+    assert _retained_bytes_per_edge(tied) <= 300
 
 
 # -- the index-space build against the per-token reference --------------------
