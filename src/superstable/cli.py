@@ -121,8 +121,8 @@ def _build_parser() -> _Parser:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise _InputError(f"{path}: {err.strerror or err}") from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise _InputError(f"{path}: {getattr(err, 'strerror', None) or err}") from None
 
 
 class _InputError(Exception):

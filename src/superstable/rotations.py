@@ -43,10 +43,12 @@ def _eliminate(first, rotations, subset) -> frozenset:
     replay behind ``lattice.matching_of`` and ``precedence_digraph``'s check
     of its input.  A rotation not exposed at its turn means a non-closed
     subset or corrupt rotations."""
-    current = set(first)
-    for k in sorted(set(subset)):
-        if not 0 <= k < len(rotations):
+    members = set(subset)
+    for k in members:
+        if not isinstance(k, int) or not 0 <= k < len(rotations):
             raise ValueError(f"subset member {k!r} names no rotation")
+    current = set(first)
+    for k in sorted(members):
         rot = rotations[k]
         if not rot.removed <= current:
             raise ValueError(f"rotation {k} is not exposed at its turn")
@@ -175,7 +177,8 @@ class _Chain(object):
     viable next partner(s), and the untried remainder of every man's list.
     Only the first two are stored.  The untried pool is read off the lists
     and the current matching: ``untried[m]`` is the first tier of m's list
-    not yet tried, and ``dropped[w]`` the ranks w gave up to a tie.
+    not yet tried, and ``bottom[w]`` the worst rank w still accepts from an
+    untried man, as Irving's (1994) tier deletion leaves it (``_pool_top``).
     A man may only extend his reach while the strongly connected component
     he sits in has no traversed arc leaving it; once such a component
     carries a perfect candidate matching, swapping it in yields the next
@@ -224,7 +227,7 @@ class _Chain(object):
             len(tiers) if w is None else self.mrank[m][w]
             for m, (tiers, w) in enumerate(zip(inst._man_tiers, self.match_m))
         ]
-        self.dropped: list[set[int]] = [set() for _ in range(nw)]
+        self.bottom = [0 if m is None else self.wrank[w][m] for w, m in enumerate(self.match_w)]
         # vertices: men 0..nm-1, then women.  A component is named after one
         # of its vertices.  With nothing traversed the only arcs are
         # woman-to-partner ones, so every vertex stands alone.
@@ -306,23 +309,17 @@ class _Chain(object):
     def _pool_top(self, m: int) -> list[int]:
         """The untried women of m's first tier that has any, in index order.
 
-        A woman is untried while she has a partner, ranks m no worse than
-        him and has not dropped m's rank.  Ties with her partner stay in:
+        A woman is untried while she ranks m within ``bottom[w]``: her
+        partner's rank (0 for none), or less once Irving's tier deletion
+        drops a tie of hers.  Until then men tied with her partner stay in:
         they never become candidates, but traversing them welds their
-        components together until she climbs strictly higher.  Women only
-        climb, men only descend and drops only accumulate, so each test
-        once failed stays failed, and a skipped tier stays empty.
+        components together.  Men only descend and bounds only fall, so each
+        test once failed stays failed, and a skipped tier stays empty.
         """
         tiers = self.inst._man_tiers[m]
-        wrank, match_w, dropped = self.wrank, self.match_w, self.dropped
+        wrank, bottom = self.wrank, self.bottom
         for i in range(self.untried[m], len(tiers)):
-            women = [
-                w
-                for w in tiers[i]
-                if match_w[w] is not None
-                and wrank[w][m] <= wrank[w][match_w[w]]
-                and wrank[w][m] not in dropped[w]
-            ]
+            women = [w for w in tiers[i] if wrank[w][m] <= bottom[w]]
             if women:
                 self.untried[m] = i
                 return sorted(women)
@@ -384,18 +381,18 @@ class _Chain(object):
         return acted
 
     def _drop_tied_candidates(self) -> bool:
-        """A woman holding tied candidates in an open component loses that
-        whole rank, candidates and untried edges alike."""
+        """A woman holding candidates in an open component, all tied since
+        ``_prune_dominated`` keeps her best-ranked ones, gives up their rank
+        and every worse one (Irving's tier deletion): her bound falls just
+        above the tie, lest a man she ranks lower take her and they block."""
         for w in range(self.nw):
             if len(self.cand_w[w]) < 2:
                 continue
             if not self._open(self._vert(w)):
                 continue
-            ranks = {self.wrank[w][m] for m in self.cand_w[w]}
-            if len(ranks) != 1:
-                raise RuntimeError("surviving candidates of one woman are not tied")
-            self.dropped[w].add(ranks.pop())
-            for m in sorted(self.cand_w[w]):
+            tied = sorted(self.cand_w[w])
+            self.bottom[w] = self.wrank[w][tied[0]] - 1
+            for m in tied:
                 self._cand_discard(m, w)
             return True
         return False
@@ -437,6 +434,7 @@ class _Chain(object):
             for m, w in added:
                 self.match_m[m] = w
                 self.match_w[w] = m
+                self.bottom[w] = self.wrank[w][m]
                 # by the bijection, the group's only candidacies
                 self._cand_discard(m, w)
             outputs.append(self._snapshot())

@@ -201,6 +201,35 @@ def test_maxweight(capsys, i1_file, i2_file, tmp_path):
     assert code == 0 and json.loads(out) == {"pairs": None}
 
 
+def test_chain_commands_on_a_dropped_tie(capsys, tmp_path):
+    # the chain search gives up a tie on this instance; a drop of that rank
+    # alone once made each command print a traceback and exit 1
+    code, text, _ = run(
+        capsys, "gen", "--men", "10", "--women", "10", "--density", "1",
+        "--tie-prob", "0.2", "--seed", "505501404",
+    )
+    assert code == 0
+    path = tmp_path / "tied.txt"
+    path.write_text(text)
+    weights = tmp_path / "w.txt"
+    edges = parse_instance(text).edges
+    weights.write_text("".join(f"{m} {w} {k % 5 - 2}\n" for k, (m, w) in enumerate(edges)))
+    for argv, schema in [
+        (["rotations", str(path)], ROTATIONS),
+        (["irreducible", str(path)], IRREDUCIBLE),
+        (["maxweight", str(path), "--weights", str(weights)], MAXWEIGHT),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and not err, argv
+        jsonschema.validate(json.loads(out), schema)
+    code, out, err = run(capsys, "enumerate", str(path))
+    assert code == 0 and not err
+    lines = out.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        jsonschema.validate(json.loads(line), MATCHING)
+
+
 def test_check_polytope(capsys, i1_file, tmp_path):
     pfile = tmp_path / "p.txt"
     pfile.write_text("a x 1/2\na y 1/2\nb x 1/2\nb y 1/2\n")
@@ -269,6 +298,9 @@ def test_exit_codes(capsys, tmp_path, i1_file):
     bad.write_text("men: a\nwomen: x\na: q\nx: a\n")
     code, _, err = run(capsys, "solve", str(bad))
     assert code == 2 and "bad.txt" in err
+    bad.write_bytes(b"men: a\nwomen: x\na: x\nx: \xffa\n")
+    code, out, err = run(capsys, "solve", str(bad))
+    assert code == 2 and "bad.txt" in err and "decode" in err and not out
     weights = tmp_path / "w.txt"
     weights.write_text("a x 1\na x 1\n")
     code, _, err = run(capsys, "maxweight", i1_file, "--weights", str(weights))

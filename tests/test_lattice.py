@@ -40,6 +40,10 @@ def test_matching_of_examples(i1):
     for stray in ({5}, {-1}, {0, 1}):
         with pytest.raises(ValueError, match="names no rotation"):
             matching_of(first, poset.rotations, stray)
+    # nor a member that is no int, which must not reach the sort
+    for stray, named in (({"a"}, "'a'"), ({0, "a"}, "'a'"), ({0.5}, r"0\.5")):
+        with pytest.raises(ValueError, match=f"member {named} names no rotation"):
+            matching_of(first, poset.rotations, stray)
 
 
 def test_matching_of_full_subset_is_last(chain3):

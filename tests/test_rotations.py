@@ -13,6 +13,7 @@ from superstable import (
     dominates,
     maximal_sequence,
     optimal_super_stable,
+    parse_instance,
     precedence_digraph,
     random_instance,
     rotations_of,
@@ -281,11 +282,24 @@ def _components_from_scratch(chain):
 
 class _CheckedChain(rotations._Chain):
     """Compares the locally kept components with a recomputation at every
-    step, checks that each man's untried tiers lie below his partner, and
-    checks the invariants that let ``_rotation_plan`` fire a group on its
-    candidate counts alone."""
+    step, checks that each man's untried tiers lie below his partner, that
+    each woman's bound lies within her partner, never rises and admits
+    her candidates, which are tied, and checks the invariants that let
+    ``_rotation_plan`` fire a group on its candidate counts alone.
+    ``drops`` counts the ties given up in ``_drop_tied_candidates``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.drops = 0
+        self._bottom_before = list(self.bottom)
 
     def _check(self):
+        for w, m in enumerate(self.match_w):
+            assert self.bottom[w] <= (0 if m is None else self.wrank[w][m])
+            assert self.bottom[w] <= self._bottom_before[w]
+            ranks = {self.wrank[w][x] for x in self.cand_w[w]}
+            assert len(ranks) <= 1 and all(r <= self.bottom[w] for r in ranks)
+        self._bottom_before = list(self.bottom)
         blocks: dict[int, set] = {}
         for v, cid in enumerate(self._comp):
             blocks.setdefault(cid, set()).add(v)
@@ -324,6 +338,12 @@ class _CheckedChain(rotations._Chain):
             assert not set(removed) & set(added)
         return plan
 
+    def _drop_tied_candidates(self):
+        dropped = super()._drop_tied_candidates()
+        self.drops += dropped
+        self._check()
+        return dropped
+
     def _rotate_once(self, outputs):
         fired = super()._rotate_once(outputs)
         self._check()
@@ -356,7 +376,7 @@ def test_chain_drops_tied_candidates(tie_prob, seed):
 
     inst = random_instance(5, 5, 1.0, tie_prob, seed=seed)
     chain, sequence = _chain_of(inst, _CheckedChain)
-    assert any(chain.dropped)
+    assert chain.drops
     assert sequence == maximal_sequence(inst)
     stable = brute_stable_set(inst, max_edges=25)
     assert all(m in stable for m in sequence)
@@ -370,6 +390,86 @@ def test_chain_drops_tied_candidates(tie_prob, seed):
         )
     enumerated = list(enumerate_all(inst))
     assert set(enumerated) == set(stable) and len(enumerated) == len(stable)
+
+
+# strict men, heavily tied women.  Like random_instance(10, 10, 1.0, 0.2,
+# seed=505501404), it defeats a chain search in which a woman giving up a
+# tied rank blocks that rank alone: a man she ranks between it and her
+# partner then takes her while the tied men fall below her, and they
+# block the chain's matching ((m3, w5) and (m5, w5) here, (m2, w1) and
+# (m9, w1) there), which precedence_digraph then rejects
+TIER_DELETION_TEXT = """\
+men: m0 m1 m2 m3 m4 m5 m6 m7
+women: w0 w1 w2 w3 w4 w5 w6 w7
+m0: w7 w4 w6 w5 w2 w0 w3 w1
+m1: w4 w7 w5 w1 w3 w0 w2 w6
+m2: w4 w1 w2 w7 w3 w0 w5 w6
+m3: w2 w7 w5 w1 w3 w4 w0 w6
+m4: w5 w4 w2 w6 w0 w7 w3 w1
+m5: w6 w5 w4 w3 w7 w2 w0 w1
+m6: w3 w4 w1 w6 w2 w0 w7 w5
+m7: w0 w3 w7 w4 w2 w1 w5 w6
+w0: m3 (m0 m5) m2 m7 m4 m1 m6
+w1: m7 m3 (m1 m4) m5 m0 (m6 m2)
+w2: m5 m4 m3 (m0 m2 m6) m1 m7
+w3: m0 m5 (m1 m2 m6 m7) m3 m4
+w4: m1 (m6 m5 m4) m2 m7 m0 m3
+w5: m2 (m3 m5) m0 (m7 m6) m4 m1
+w6: m2 (m1 m7 m6) (m4 m0) m5 m3
+w7: m5 (m7 m1) (m3 m0) m2 m4 m6
+"""
+
+
+def _between_optima(inst, first, last):
+    """Every super-stable matching, by brute force.  All of them match the
+    same men as the optima, each to a partner between his two optimal ones,
+    so only those matchings are tried."""
+    men = sorted(m for m, _ in first)
+    top, bottom = dict(first), dict(last)
+    options = {
+        m: [
+            w
+            for tier in inst.prefs[m]
+            for w in tier
+            if inst.man_rank(m, top[m]) <= inst.man_rank(m, w) <= inst.man_rank(m, bottom[m])
+        ]
+        for m in men
+    }
+    found = []
+
+    def walk(i, taken):
+        if i == len(men):
+            matching = frozenset(zip(men, taken))
+            if not has_blocking_edge(inst, matching, "super"):
+                found.append(matching)
+            return
+        for w in options[men[i]]:
+            if w not in taken:
+                walk(i + 1, taken + [w])
+
+    walk(0, [])
+    return found
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [random_instance(10, 10, 1.0, 0.2, seed=505501404), parse_instance(TIER_DELETION_TEXT)],
+    ids=["random_10x10", "tied_women_8x8"],
+)
+def test_tier_deletion_counterexamples(inst):
+    from superstable import build_poset, enumerate_all
+
+    chain, sequence = _chain_of(inst, _CheckedChain)
+    assert chain.drops
+    assert sequence == maximal_sequence(inst)
+    assert sequence[0] == optimal_super_stable(inst, MEN)
+    assert sequence[-1] == optimal_super_stable(inst, WOMEN)
+    for matching in sequence:
+        assert not has_blocking_edge(inst, matching, "super")
+    assert build_poset(inst) is not None
+    enumerated = list(enumerate_all(inst))
+    brute = _between_optima(inst, sequence[0], sequence[-1])
+    assert len(enumerated) == len(set(enumerated)) and set(enumerated) == set(brute)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
