@@ -18,7 +18,6 @@ from pathlib import Path
 from .fixed_edge import irreducible_poset
 from .instance import (
     ParseError,
-    load_weights,
     parse_edge_values,
     parse_instance,
     random_instance,
@@ -226,7 +225,7 @@ def _cmd_irreducible(args) -> int:
 def _cmd_maxweight(args) -> int:
     inst = _load(args.file)
     try:
-        weights = load_weights(inst, _read(args.weights))
+        weights = parse_edge_values(inst, _read(args.weights))
     except ParseError as err:
         raise _InputError(f"{args.weights}: {err}") from None
     result = max_weight(inst, weights)

@@ -313,7 +313,7 @@ def parse_instance(text: str) -> Instance:
                 prefs[agent] = tuple(zip(entries))
         elif _TIED_LINE.fullmatch(rest):
             prefs[agent] = tuple(
-                tuple(group.split()) if group else (name,)
+                tuple(group.split()) if group else single.get(name, (name,))
                 for group, name in _ENTRY.findall(rest)
             )
         else:

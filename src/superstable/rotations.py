@@ -4,6 +4,7 @@ precedence digraph whose closed subsets index every super-stable matching."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .instance import Instance, MEN, WOMEN
 from .stability import optimal_super_stable, validate_matching
@@ -43,12 +44,12 @@ def _eliminate(first, rotations, subset) -> frozenset:
     replay behind ``lattice.matching_of`` and ``precedence_digraph``'s check
     of its input.  A rotation not exposed at its turn means a non-closed
     subset or corrupt rotations."""
-    members = set(subset)
+    members = list(subset)
     for k in members:
         if not isinstance(k, int) or not 0 <= k < len(rotations):
             raise ValueError(f"subset member {k!r} names no rotation")
     current = set(first)
-    for k in sorted(members):
+    for k in sorted(set(members)):
         rot = rotations[k]
         if not rot.removed <= current:
             raise ValueError(f"rotation {k} is not exposed at its turn")
@@ -185,7 +186,7 @@ class _Chain(object):
     matching of the chain.
 
     A candidate always ranks strictly above the woman's partner.  A man who
-    holds his woman-optimal partner holds none and needs none: the sweep
+    holds his woman-optimal partner holds none and needs none: the search
     passes him by, he has no traversed arc and so stands alone, and his
     partner, whose only arc leads to him, stands alone too.  A candidacy
     for her would evict him, so ``_advance`` raises instead.
@@ -200,6 +201,29 @@ class _Chain(object):
     component of its own.  ``rebuilds`` counts the vertex sets whose
     components were set from scratch: the whole graph once, then each
     fired rotation's component.
+
+    Each step costs what it changes, not the size of the instance, save
+    the copy of the matching that each chain entry is:
+
+    - ``pairs`` holds the current matching's name pairs, updated from each
+      fired rotation's plan; a chain entry is a frozenset copy of it.
+    - The ready groups (multi-vertex components with no leaving arc) wait
+      in a heap ordered by smallest member, with lazy deletion: an entry
+      is live while ``_ready`` maps its component to its key.  A group is
+      pushed when it opens or a merge lowers its smallest member.
+    - A man's visit can act only while he is not at his last partner,
+      holds no candidate, sits in an open component and has an untried
+      tier.  The first and the last never turn true again, so he is
+      queued (``_wake``) when he loses his last candidate, when his
+      component opens, and after a visit that leaves him open without a
+      candidate.  A round visits the queued men in ascending index,
+      taking a man queued behind the one being visited in the same round
+      and one queued at or before him in the next, as a sweep over every
+      man would; so the firing order, the rotations and the arcs are
+      those of full sweeps.
+
+    ``visits`` counts the men handed to ``_advance`` and ``examined`` the
+    ready groups whose plan was read.
     """
 
     def __init__(self, inst: Instance, first, last):
@@ -217,6 +241,8 @@ class _Chain(object):
         self.last_m: list[int | None] = [None] * nm
         for m, w in last:
             self.last_m[midx[m]] = widx[w]
+        self.pairs = set(first)
+        self._away = sum(1 for m, w in zip(self.match_m, self.last_m) if m != w)
         self.cand_m: list[set[int]] = [set() for _ in range(nm)]
         self.cand_w: list[set[int]] = [set() for _ in range(nw)]
         # traversed arcs, from both ends
@@ -235,7 +261,22 @@ class _Chain(object):
         self._comp: list[int] = list(range(nv))
         self._members: dict[int, list[int]] = {v: [v] for v in range(nv)}
         self._outdeg: dict[int, int] = dict.fromkeys(range(nv), 0)
+        self._least: list[int] = list(range(nv))  # a component's smallest member
+        self._ready: dict[int, int] = {}
+        self._heap: list[tuple[int, int]] = []
+        # women holding two or more candidates, and some who no longer do
+        self._tied: set[int] = set()
+        # the worklist: the men queued for the next round (every man for the
+        # first), and a heap of those still to visit in the current one
+        self._due: set[int] = set(range(nm))
+        self._queue: list[int] = []
+        self._pos = nm  # the man being visited; nm outside a round
         self.rebuilds = 1
+        self.visits = 0
+        self.examined = 0
+        # 29 attributes: CPython 3.11 keeps an instance's attributes inline,
+        # where methods load them fastest, for at most 30 names per class;
+        # with 31 the search ran 5-9 % slower on the cyclic shift
 
     # -- component bookkeeping
 
@@ -261,9 +302,11 @@ class _Chain(object):
         # it, so none of them turns internal; merged vertices bring theirs
         for old in {comp[v] for v in closing}:
             del self._members[old], self._outdeg[old]
+            self._ready.pop(old, None)
         for v in closing:
             comp[v] = cid
         self._members[cid].extend(closing)
+        self._least[cid] = min(self._least[cid], min(closing))
         self._outdeg[cid] += sum(
             1
             for v in closing
@@ -271,6 +314,12 @@ class _Chain(object):
             for x in self.trav_m[v]
             if comp[self._vert(x)] != cid
         )
+        if self._outdeg[cid] == 0:
+            # C was open already, so only the merged men may have opened
+            self._mark_ready(cid)
+            for v in closing:
+                if v < self.nm and not self.cand_m[v]:
+                    self._wake(v)
 
     def _reaching(self, start: int, cid: int) -> set[int]:
         """Vertices outside component ``cid`` on a path from ``start`` into it."""
@@ -304,6 +353,24 @@ class _Chain(object):
                     stack.append(u)
         return found
 
+    def _mark_ready(self, cid: int) -> None:
+        """Queue the open multi-vertex component ``cid`` under its smallest
+        member; an entry under an older key goes stale."""
+        least = self._least[cid]
+        if self._ready.get(cid) != least:
+            self._ready[cid] = least
+            heappush(self._heap, (least, cid))
+
+    def _opened(self, cid: int) -> None:
+        """Component ``cid`` lost its last leaving arc: queue it if it is a
+        group, and its men who hold no candidate."""
+        group = self._members[cid]
+        if len(group) > 1:
+            self._mark_ready(cid)
+        for v in group:
+            if v < self.nm and not self.cand_m[v]:
+                self._wake(v)
+
     # -- pools
 
     def _pool_top(self, m: int) -> list[int]:
@@ -331,11 +398,25 @@ class _Chain(object):
         # components together until a rotation sweeps the edge away
         self.cand_m[m].discard(w)
         self.cand_w[w].discard(m)
+        if not self.cand_m[m]:
+            self._wake(m)
 
     # -- search
 
+    def _wake(self, m: int) -> None:
+        """Queue man m: in this round if he comes after the man being
+        visited, else in the next."""
+        if m > self._pos:
+            heappush(self._queue, m)
+        else:
+            self._due.add(m)
+
     def _advance(self, m: int) -> bool:
-        """One tier step for man m; True if any state changed."""
+        """Visit man m: one tier step if he is not at his last partner, holds
+        no candidate and sits in an open component; True if any state
+        changed."""
+        if self.match_m[m] == self.last_m[m] or self.cand_m[m] or self._outdeg[self._comp[m]]:
+            return False
         women = self._pool_top(m)
         if not women:
             return False
@@ -355,6 +436,8 @@ class _Chain(object):
                 self.cand_m[m].add(w)
                 self.cand_w[w].add(m)
             self._prune_dominated(eligible)
+            if not self.cand_m[m]:
+                self._wake(m)
             acted = True
         return acted
 
@@ -366,18 +449,26 @@ class _Chain(object):
             best = min(self.wrank[w][m] for m in self.cand_w[w])
             for m in [m for m in self.cand_w[w] if self.wrank[w][m] > best]:
                 self._cand_discard(m, w)
+            if len(self.cand_w[w]) > 1:
+                self._tied.add(w)
 
-    def _search_sweep(self) -> bool:
+    def _search_round(self) -> bool:
+        """Visit the queued men in ascending index; True if any acted.  A
+        man queued twice comes out twice in a row and is visited once."""
+        queue = self._queue = sorted(self._due)
+        self._due = set()
+        self._pos = -1
         acted = False
-        for m in range(self.nm):
-            if self.match_m[m] == self.last_m[m]:
-                continue
-            if self.cand_m[m]:
-                continue
-            if not self._open(m):
-                continue
-            if self._advance(m):
-                acted = True
+        visits = 0
+        while queue:
+            m = heappop(queue)
+            if m > self._pos:
+                self._pos = m
+                visits += 1
+                if self._advance(m):
+                    acted = True
+        self._pos = self.nm
+        self.visits += visits
         return acted
 
     def _drop_tied_candidates(self) -> bool:
@@ -385,8 +476,9 @@ class _Chain(object):
         ``_prune_dominated`` keeps her best-ranked ones, gives up their rank
         and every worse one (Irving's tier deletion): her bound falls just
         above the tie, lest a man she ranks lower take her and they block."""
-        for w in range(self.nw):
+        for w in sorted(self._tied):
             if len(self.cand_w[w]) < 2:
+                self._tied.discard(w)
                 continue
             if not self._open(self._vert(w)):
                 continue
@@ -394,6 +486,7 @@ class _Chain(object):
             self.bottom[w] = self.wrank[w][tied[0]] - 1
             for m in tied:
                 self._cand_discard(m, w)
+            self._tied.discard(w)
             return True
         return False
 
@@ -420,12 +513,23 @@ class _Chain(object):
         return [(m, self.match_m[m]) for m, _ in added], added
 
     def _rotate_once(self, outputs: list) -> bool:
-        members = self._members
-        ready = [c for c, g in members.items() if len(g) > 1 and self._outdeg[c] == 0]
-        for cid in sorted(ready, key=lambda c: min(members[c])):
-            group = members[cid]
+        """Fire the ready group with the smallest member that carries a plan;
+        the ready groups without one are requeued."""
+        heap, ready = self._heap, self._ready
+        held = []
+        fired = False
+        while heap and not fired:
+            least, cid = heappop(heap)
+            if ready.get(cid) != least:
+                continue
+            del ready[cid]
+            if self._outdeg[cid]:
+                continue
+            self.examined += 1
+            group = self._members[cid]
             plan = self._rotation_plan(group)
             if plan is None:
+                held.append(cid)
                 continue
             removed, added = plan
             for m, w in removed:
@@ -435,9 +539,14 @@ class _Chain(object):
                 self.match_m[m] = w
                 self.match_w[w] = m
                 self.bottom[w] = self.wrank[w][m]
+                if w == self.last_m[m]:
+                    self._away -= 1
                 # by the bijection, the group's only candidacies
                 self._cand_discard(m, w)
-            outputs.append(self._snapshot())
+            men, women = self.inst.men, self.inst.women
+            self.pairs.difference_update([(men[m], women[w]) for m, w in removed])
+            self.pairs.update([(men[m], women[w]) for m, w in added])
+            outputs.append(frozenset(self.pairs))
             # the group was open, so its men's arcs stay inside it; arcs into
             # its women from outside leave their own components
             for m, _ in added:
@@ -447,39 +556,39 @@ class _Chain(object):
             for _, w in added:
                 for m in self.trav_w[w]:
                     self.trav_m[m].discard(w)
-                    self._outdeg[self._comp[m]] -= 1
+                    c = self._comp[m]
+                    self._outdeg[c] -= 1
+                    if self._outdeg[c] == 0:
+                        self._opened(c)
                 self.trav_w[w].clear()
             # with no traversed arc left at the group and each woman pointing
-            # only at her new partner, every vertex of it stands alone
-            del members[cid], self._outdeg[cid]
+            # only at her new partner, every vertex of it stands alone; its men
+            # lost their candidates above, which queued them
+            del self._members[cid], self._outdeg[cid]
             for v in group:
                 self._comp[v] = v
-                members[v] = [v]
+                self._members[v] = [v]
                 self._outdeg[v] = 0
+                self._least[v] = v
             self.rebuilds += 1
             # untried positions stay: each man took his new partner from
             # his first untried tier and then stepped past that tier
-            return True
-        return False
-
-    def _snapshot(self) -> frozenset:
-        men, women = self.inst.men, self.inst.women
-        return frozenset(
-            (men[m], women[w]) for m, w in enumerate(self.match_m) if w is not None
-        )
+            fired = True
+        for cid in held:
+            self._mark_ready(cid)
+        return fired
 
     def run(self) -> list[frozenset]:
         outputs: list[frozenset] = []
         while True:
             acted = False
-            while self._search_sweep():
+            while self._search_round():
                 acted = True
             while self._drop_tied_candidates():
                 acted = True
             while self._rotate_once(outputs):
                 acted = True
-            if all(self.match_m[m] == self.last_m[m] for m in range(self.nm)):
+            if not self._away:
                 return outputs
             if not acted:
                 raise RuntimeError("successor search stalled (internal error)")
-

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import superstable.instance as instance_module
 from superstable import (
     Instance,
     ParseError,
@@ -349,7 +350,7 @@ def _assert_one_object_per_value(inst):
     return singles
 
 
-def test_one_member_tiers_are_shared():
+def test_one_member_tiers_are_shared(monkeypatch):
     # the women's lists run past 256, where ``int`` stops caching values
     plain = parse_instance(serialize_instance(random_instance(300, 3, 1.0, 0.0, seed=4301)))
     assert max(plain._woman_rank[0].values()) == 300
@@ -359,6 +360,22 @@ def test_one_member_tiers_are_shared():
     reduced = reduce_for_edge(built, built.edges[7])
     for inst in (plain, parse_instance(text), built, reduced):
         assert _assert_one_object_per_value(inst) > 2 * len(inst.men + inst.women)
+    # the parser itself hands ``Instance`` one tuple per name, on tied lines
+    # as on plain ones, so it allocates no transient tuple per entry
+    handed = []
+    real = instance_module.Instance
+    monkeypatch.setattr(
+        instance_module, "Instance", lambda *args: handed.append(args[2]) or real(*args)
+    )
+    parse_instance(text)
+    by_name, singles = {}, 0
+    for agent, tiers in handed[0].items():
+        tied_line = any(len(tier) > 1 for tier in tiers)
+        for tier in tiers:
+            if len(tier) == 1:
+                singles += tied_line
+                assert by_name.setdefault(tier[0], tier) is tier
+    assert singles > len(handed[0])
 
 
 def _retained_bytes_per_edge(text):

@@ -44,6 +44,10 @@ def test_matching_of_examples(i1):
     for stray, named in (({"a"}, "'a'"), ({0, "a"}, "'a'"), ({0.5}, r"0\.5")):
         with pytest.raises(ValueError, match=f"member {named} names no rotation"):
             matching_of(first, poset.rotations, stray)
+    # nor an unhashable one, which must not reach the set of members
+    for stray, named in (([[0]], r"\[0\]"), ([{0}], r"\{0\}")):
+        with pytest.raises(ValueError, match=f"member {named} names no rotation"):
+            matching_of(first, poset.rotations, stray)
 
 
 def test_matching_of_full_subset_is_last(chain3):

@@ -9,8 +9,11 @@ from superstable import (
     WOMEN,
     Instance,
     blocking_edges,
+    build_poset,
     closed_subsets,
     dominates,
+    matching_of,
+    max_weight,
     maximal_sequence,
     optimal_super_stable,
     parse_instance,
@@ -20,7 +23,14 @@ from superstable import (
 )
 from superstable import rotations
 from superstable.oracle import brute_stable_set, has_blocking_edge
-from conftest import man_optimal_of, merged_tiers, oracle_chain, tied_halves
+from conftest import (
+    block_union,
+    cyclic_shift,
+    man_optimal_of,
+    merged_tiers,
+    oracle_chain,
+    tied_halves,
+)
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
 MZ_I1 = frozenset({("a", "y"), ("b", "x")})
@@ -254,6 +264,43 @@ def test_chain_rebuilds_stay_per_rotation():
     assert chain.rebuilds <= 3 * fired
 
 
+def test_chain_work_stays_per_edge():
+    # on a disjoint union every rotation stays inside one 5 x 5 block, so a
+    # search that pays per change does the same work per edge at 200 and
+    # 800 blocks; sweeping every man per round would visit 1.8 and 2.4 men
+    # per edge here.  The bounds sit about 1.6 times over the 0.31 visits
+    # and 0.029 examined groups per edge measured at both sizes
+    per_edge = []
+    for n in (1_000, 4_000):
+        inst = block_union(61_000, n, 0.0)
+        chain, sequence = _chain_of(inst)
+        edges = len(inst.edges)
+        assert len(sequence) - 1 > n // 10
+        per_edge.append((chain.visits / edges, chain.examined / edges))
+    for small, large in zip(*per_edge):
+        assert max(small, large) <= 2 * min(small, large), per_edge
+    for visits, examined in per_edge:
+        assert visits <= 0.5 and examined <= 0.045, per_edge
+
+
+@pytest.mark.slow
+def test_long_chain_on_the_cyclic_shift():
+    # 1,000 rotations, each moving every man, over a million edges
+    n = 1_001
+    inst = cyclic_shift(n)
+    first, poset = build_poset(inst)
+    assert len(poset.rotations) == n - 1
+    last = matching_of(first, poset.rotations, range(n - 1))
+    assert last == optimal_super_stable(inst, WOMEN)
+    assert poset.arcs == {(k, k + 1) for k in range(n - 2)}
+    del first, poset, last
+    # matching k pairs m_i with w_(i+k); weigh matching 500 alone
+    peak = n // 2
+    weights = {(f"m{i}", f"w{(i + peak) % n}"): 1 for i in range(n)}
+    best, total = max_weight(inst, weights)
+    assert total == n and best == frozenset(weights)
+
+
 def _components_from_scratch(chain):
     """Each strongly connected block, by plain reachability, mapped to its
     number of leaving traversed arcs."""
@@ -280,12 +327,24 @@ def _components_from_scratch(chain):
     return leaving
 
 
+def _pool_left(chain, m):
+    """True when man m has an untried woman left, read without moving
+    ``untried[m]``."""
+    tiers = chain.inst._man_tiers[m]
+    return any(
+        chain.wrank[w][m] <= chain.bottom[w] for tier in tiers[chain.untried[m] :] for w in tier
+    )
+
+
 class _CheckedChain(rotations._Chain):
     """Compares the locally kept components with a recomputation at every
     step, checks that each man's untried tiers lie below his partner, that
     each woman's bound lies within her partner, never rises and admits
     her candidates, which are tied, and checks the invariants that let
-    ``_rotation_plan`` fire a group on its candidate counts alone.
+    ``_rotation_plan`` fire a group on its candidate counts alone.  Also
+    checks that every open multi-vertex group is queued under its smallest
+    member, and that every man whose visit could act is queued: in the
+    current round when he comes after the visited man, else in the next.
     ``drops`` counts the ties given up in ``_drop_tied_candidates``."""
 
     def __init__(self, *args):
@@ -316,13 +375,24 @@ class _CheckedChain(rotations._Chain):
         for w, m in enumerate(self.match_w):
             if len(blocks[self._comp[self.nm + w]]) > 1:
                 assert m is not None and self._comp[m] == self._comp[self.nm + w]
+        for c, g in blocks.items():
+            if len(g) > 1 and self._outdeg[c] == 0:
+                least = min(g)
+                assert self._least[c] == least
+                assert self._ready.get(c) == least and (least, c) in self._heap
+        for m in range(self.nm):
+            if m == self._pos or self.match_m[m] == self.last_m[m] or self.cand_m[m]:
+                continue
+            if self._outdeg[self._comp[m]] == 0 and _pool_left(self, m):
+                pending = m > self._pos and m in self._queue
+                assert pending or m in self._due
 
     def _add_arc(self, m, w):
         super()._add_arc(m, w)
         self._check()
 
-    def _search_sweep(self):
-        acted = super()._search_sweep()
+    def _search_round(self):
+        acted = super()._search_round()
         self._check()
         return acted
 
