@@ -267,12 +267,13 @@ def _cmd_check_polytope(args) -> int:
 def _cmd_vertices(args) -> int:
     inst = _load(args.file)
     points = vertices(inst, args.model, cap=args.cap)
+    edges = inst.edges
     _emit(
         {
             "model": args.model,
             "count": len(points),
             "vertices": [
-                [[m, w, str(point[(m, w)])] for m, w in inst.edges if (m, w) in point]
+                [[m, w, str(point[(m, w)])] for m, w in edges if (m, w) in point]
                 for point in points
             ],
         }

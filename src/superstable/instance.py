@@ -47,13 +47,16 @@ class Instance:
     edge exactly when each side lists the other; one-sided listings are
     rejected at construction.  Instances are immutable once built and safe
     to share between threads.
+
+    ``edges`` is not stored: each read builds the tuple of edges afresh, in
+    O(m), men in declaration order and each man's partners in list order.
+    A caller that reads it more than once holds a local.
     """
 
     __slots__ = (
         "men",
         "women",
         "prefs",
-        "edges",
         "_midx",
         "_widx",
         "_man_tiers",
@@ -112,18 +115,31 @@ class Instance:
                                 f"non-mutual listing: {names[i]!r} lists {others[j]!r}"
                                 " but not vice versa"
                             )
-        self.edges = tuple(
+
+    # -- basic queries ----------------------------------------------------
+
+    @property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """Every edge as a ``(man, woman)`` pair, built on each read."""
+        women = self.women
+        return tuple(
             chain.from_iterable(
-                zip(repeat(m), map(self.women.__getitem__, ranks))
+                zip(repeat(m), map(women.__getitem__, ranks))
                 for m, ranks in zip(self.men, self._man_rank)
             )
         )
 
-    # -- basic queries ----------------------------------------------------
-
     def is_edge(self, man: str, woman: str) -> bool:
+        return self._own_edge(man, woman) is not None
+
+    def _own_edge(self, man: str, woman: str) -> tuple[str, str] | None:
+        """The edge ``(man, woman)`` made of the instance's own name objects,
+        or None when it is no edge.  A dict keyed by these pairs shares the
+        names the instance holds instead of keeping copies of its own."""
         i, j = self._midx.get(man), self._widx.get(woman)
-        return i is not None and j is not None and j in self._man_rank[i]
+        if i is None or j is None or j not in self._man_rank[i]:
+            return None
+        return self.men[i], self.women[j]
 
     def neighbors(self, name: str) -> tuple[str, ...]:
         """Acceptable partners of ``name`` in preference order (ties flattened)."""
@@ -160,7 +176,8 @@ class Instance:
         return hash((self.men, self.women, lists))
 
     def __repr__(self):
-        return f"Instance({len(self.men)} men, {len(self.women)} women, {len(self.edges)} edges)"
+        edges = sum(map(len, self._man_rank))
+        return f"Instance({len(self.men)} men, {len(self.women)} women, {edges} edges)"
 
 
 def _index_lists(names, opposite, prefs, normalized):
@@ -422,10 +439,13 @@ def parse_edge_values(inst: Instance, text: str) -> dict[tuple[str, str], Fracti
 
     Each distinct token is parsed and checked once, and its ``Fraction``
     shared by every line that repeats it, so the cost is a dict lookup and
-    an edge test per line plus one parse per distinct value.
+    an edge test per line plus one parse per distinct value.  Each key is
+    made of the instance's own name objects, so the dict keeps none of the
+    file's strings.
     """
     values: dict[tuple[str, str], Fraction] = {}
     rationals: dict[str, Fraction] = {}
+    own_edge = inst._own_edge
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -434,14 +454,15 @@ def parse_edge_values(inst: Instance, text: str) -> dict[tuple[str, str], Fracti
         if len(parts) != 3:
             raise ParseError("expected '<man> <woman> <rational>'", ln)
         m, w, token = parts
-        if not inst.is_edge(m, w):
+        edge = own_edge(m, w)
+        if edge is None:
             raise ParseError(f"({m}, {w}) is not an edge of the instance", ln)
-        if (m, w) in values:
+        if edge in values:
             raise ParseError(f"duplicate line for edge ({m}, {w})", ln)
         value = rationals.get(token)
         if value is None:
             value = rationals[token] = _parse_fraction(token, ln)
-        values[(m, w)] = value
+        values[edge] = value
     return values
 
 

@@ -146,12 +146,13 @@ def max_weight(inst: Instance, weights):
 
 
 def _check_weights(inst: Instance, weights) -> dict:
+    """``weights`` as Fractions, keyed by the instance's own name pairs."""
     checked = {}
-    for edge, value in weights.items():
-        m, w = edge
-        if not inst.is_edge(m, w):
+    for (m, w), value in weights.items():
+        edge = inst._own_edge(m, w)
+        if edge is None:
             raise ValueError(f"weight given for non-edge ({m!r}, {w!r})")
-        checked[(m, w)] = value if isinstance(value, Fraction) else Fraction(value)
+        checked[edge] = value if isinstance(value, Fraction) else Fraction(value)
     return checked
 
 

@@ -62,17 +62,21 @@ def has_blocking_edge(inst: Instance, matching: frozenset, criterion: str) -> bo
         raise ValueError(f"unknown criterion {criterion!r}")
     held_by_man = {m: w for m, w in matching}
     held_by_woman = {w: m for m, w in matching}
-    for m, w in inst.edges:
-        if held_by_man.get(m) == w:
-            continue
-        m_better, m_not_worse = _improvement(inst, m, w, held_by_man.get(m))
-        w_better, w_not_worse = _improvement(inst, w, m, held_by_woman.get(w))
-        if criterion == SUPER:
-            if m_not_worse and w_not_worse:
-                return True
-        else:
-            if (m_better and w_not_worse) or (w_better and m_not_worse):
-                return True
+    # every edge is listed on both sides, so each man's tiers hold his edges
+    for m in inst.men:
+        held = held_by_man.get(m)
+        for tier in inst.prefs[m]:
+            for w in tier:
+                if w == held:
+                    continue
+                m_better, m_not_worse = _improvement(inst, m, w, held)
+                w_better, w_not_worse = _improvement(inst, w, m, held_by_woman.get(w))
+                if criterion == SUPER:
+                    if m_not_worse and w_not_worse:
+                        return True
+                else:
+                    if (m_better and w_not_worse) or (w_better and m_not_worse):
+                        return True
     return False
 
 

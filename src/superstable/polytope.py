@@ -232,7 +232,8 @@ def vertices(inst: Instance, model: str = SUPER, cap: int = 8) -> list[dict]:
     """
     if model not in (SUPER, STRONG):
         raise ValueError(f"unknown model {model!r}")
-    nvars = len(inst.edges)
+    edges = inst.edges
+    nvars = len(edges)
     if nvars > cap:
         raise ValueError(f"|E| = {nvars} exceeds cap = {cap}")
     if nvars == 0:
@@ -256,9 +257,7 @@ def vertices(inst: Instance, model: str = SUPER, cap: int = 8) -> list[dict]:
                 return
         key = tuple(x)
         if key not in found:
-            found[key] = {
-                edge: x[i] for i, edge in enumerate(inst.edges) if x[i] != 0
-            }
+            found[key] = {edge: x[i] for i, edge in enumerate(edges) if x[i] != 0}
 
     def descend(start: int, need: int) -> None:
         if need == 0:
@@ -302,8 +301,9 @@ def _eliminate(pivots, coeffs, rhs):
 
 def _constraint_rows(inst: Instance, model: str):
     """Rows (integer coefficient tuple, rhs, sense) of the chosen system."""
-    nvars = len(inst.edges)
-    at = {edge: i for i, edge in enumerate(inst.edges)}
+    edges = inst.edges
+    nvars = len(edges)
+    at = {edge: i for i, edge in enumerate(edges)}
     rows = []
 
     def incident(name):
@@ -319,7 +319,7 @@ def _constraint_rows(inst: Instance, model: str):
         for c in cols:
             coeffs[c] = 1
         rows.append((tuple(coeffs), 1, "le"))
-    for m, w in inst.edges:
+    for m, w in edges:
         rm = inst.man_rank(m, w)
         rw = inst.woman_rank(w, m)
         strict_m = [at[(m, v)] for v in inst.neighbors(m) if inst.man_rank(m, v) < rm]

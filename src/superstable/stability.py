@@ -179,9 +179,11 @@ def _propose_and_delete(inst: Instance, side: str):
 
 
 def matching_to_json(inst: Instance, matching) -> dict:
-    """JSON form: {"pairs": [...], "matched": n}; None renders as {"pairs": null}."""
+    """JSON form: {"pairs": [...], "matched": n}, the pairs in the men's
+    declaration order; None renders as {"pairs": null}."""
     if matching is None:
         return {"pairs": None}
-    matching = validate_matching(inst, matching)
-    pairs = sorted(matching, key=lambda p: inst._midx[p[0]])
-    return {"pairs": [[m, w] for m, w in pairs], "matched": len(pairs)}
+    mate_of_man = _indexed(inst, matching)[1]
+    women = inst.women
+    pairs = [[m, women[j]] for m, j in zip(inst.men, mate_of_man) if j >= 0]
+    return {"pairs": pairs, "matched": len(pairs)}

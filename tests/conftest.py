@@ -409,8 +409,12 @@ def reference_instance(men, women, prefs):
                         f"non-mutual listing: {names[i]!r} lists {others[j]!r}"
                         " but not vice versa"
                     )
-    inst.edges = tuple((m, w) for m in inst.men for tier in normalized[m] for w in tier)
     return inst
+
+
+def reference_edges(inst):
+    """The edges of a per-member build: each man's partners in list order."""
+    return tuple((m, w) for m in inst.men for tier in inst.prefs[m] for w in tier)
 
 
 def reference_parse_instance(text):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import superstable.instance as instance_module
+import superstable.lattice as lattice_module
 from superstable import (
     Instance,
     ParseError,
@@ -22,6 +23,7 @@ from conftest import (
     I1_TEXT,
     I2_TEXT,
     NON_MUTUAL_TEXT,
+    reference_edges,
     reference_instance,
     reference_parse_edge_values,
     reference_parse_instance,
@@ -90,6 +92,23 @@ def test_agent_without_line_has_empty_list():
     inst = parse_instance("men: a b\nwomen: x\na: x\nx: a\n")
     assert inst.prefs["b"] == ()
     assert len(inst.edges) == 1
+
+
+def test_edges_are_derived_on_each_read():
+    # idle agents on both sides, a tie on each side, and a man listed after
+    # an idle one: the derived tuple skips the idle ones and keeps list order
+    inst = parse_instance(
+        "men: a b c d\nwomen: x y z v\n"
+        "a: y (z x)\nc: x\nd: z\nx: (c a)\ny: a\nz: a d\n"
+    )
+    assert inst.prefs["b"] == () and inst.prefs["v"] == ()
+    first, second = inst.edges, inst.edges
+    assert first == second == (("a", "y"), ("a", "z"), ("a", "x"), ("c", "x"), ("d", "z"))
+    assert first == reference_edges(inst)
+    assert repr(inst) == f"Instance(4 men, 4 women, {len(inst.edges)} edges)"
+    assert "edges" not in Instance.__slots__
+    with pytest.raises(AttributeError):
+        inst.edges = ()
 
 
 def test_constructor_invariants():
@@ -317,6 +336,18 @@ def test_edge_values_match_per_line_reference():
     assert outcomes["ok"] > 150 and outcomes["error"] > 600, outcomes
 
 
+def test_edge_value_keys_hold_the_instance_names():
+    # the file's split strings and the caller's keys are equal to the
+    # instance's names but are other objects; the keys keep the instance's
+    inst = random_instance(6, 6, 0.7, 0.3, seed=4111)
+    text = "".join(f"{m} {w} 1/2\n" for m, w in reversed(inst.edges))
+    weights = {("".join(m), "".join(w)): 1 for m, w in inst.edges}
+    for values in (parse_edge_values(inst, text), lattice_module._check_weights(inst, weights)):
+        assert len(values) == len(inst.edges)
+        for m, w in values:
+            assert m is inst.men[inst._midx[m]] and w is inst.women[inst._widx[w]]
+
+
 def test_index_tiers_leave_garbage_collector_tracking():
     # the build allocates O(m) small containers; the collector walks them no
     # longer once they hold nothing it tracks
@@ -393,14 +424,15 @@ def _retained_bytes_per_edge(text):
 
 def test_instance_memory_ceiling():
     # a strict list holds a pointer per entry in each of ``prefs`` and the
-    # index tiers; with the rank maps and the edge tuples that measured
-    # 181 B/edge on Python 3.10-3.12, and a fresh one-member tuple per entry
-    # in both cost 459-476
+    # index tiers; with the rank maps that measured 117 B/edge on Python
+    # 3.11, 181 with stored edge tuples, and a fresh one-member tuple per
+    # entry in both cost 459-476
     strict = serialize_instance(random_instance(120, 120, 1.0, 0.0, seed=4300))
-    assert _retained_bytes_per_edge(strict) <= 250
-    # tie groups keep tuples of their own: 265-273 B/edge, 402-418 unshared
+    assert _retained_bytes_per_edge(strict) <= 130
+    # tie groups keep tuples of their own: 209 B/edge, 273 with stored edge
+    # tuples, 402-418 unshared
     tied = serialize_instance(random_instance(120, 120, 1.0, 0.3, seed=4300))
-    assert _retained_bytes_per_edge(tied) <= 300
+    assert _retained_bytes_per_edge(tied) <= 230
 
 
 # -- the index-space build against the per-token reference --------------------
@@ -416,14 +448,17 @@ def _plain(value):
     return value
 
 
-def _outcome(build, *args):
-    """Every slot of the built instance, or the error's type, text and place."""
+def _outcome(build, *args, edges=lambda inst: inst.edges):
+    """Every slot of the built instance and its ``edges(inst)``, or the
+    error's type, text and place."""
     try:
         inst = build(*args)
     except (ValueError, TypeError) as exc:
         where = (exc.line, exc.column) if isinstance(exc, ParseError) else None
         return type(exc), str(exc), where
-    return {slot: _plain(getattr(inst, slot)) for slot in Instance.__slots__}
+    slots = {slot: _plain(getattr(inst, slot)) for slot in Instance.__slots__}
+    slots["edges"] = edges(inst)
+    return slots
 
 
 def _valid_text(rng):
@@ -509,12 +544,12 @@ def test_parse_matches_per_token_reference():
     for _ in range(400):
         text, inst = _valid_text(rng)
         got = _outcome(parse_instance, text)
-        assert got == _outcome(reference_parse_instance, text), text
+        assert got == _outcome(reference_parse_instance, text, edges=reference_edges), text
         assert got == _outcome(lambda t: inst, text), text
         for _ in range(3):
             broken = _malformed_text(rng, text, inst)
             got = _outcome(parse_instance, broken)
-            assert got == _outcome(reference_parse_instance, broken), broken
+            assert got == _outcome(reference_parse_instance, broken, edges=reference_edges), broken
             outcomes["error" if isinstance(got, tuple) else "ok"] += 1
     # the mutations reach both outcomes, and errors with a column
     assert outcomes["ok"] > 100 and outcomes["error"] > 600
@@ -538,7 +573,7 @@ def test_constructor_matches_per_member_reference():
         name = rng.choice(inst.men + inst.women)
         other = inst.women if name in inst.men else inst.men
         prefs[name] = rng.choice(faults)(prefs[name], other)
-        want = _outcome(reference_instance, inst.men, inst.women, prefs)
+        want = _outcome(reference_instance, inst.men, inst.women, prefs, edges=reference_edges)
         assert _outcome(Instance, inst.men, inst.women, prefs) == want
         # tiers given as one-shot iterators build the same instance or fail alike
         lazy = {

@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 
 from superstable import (
@@ -89,6 +92,36 @@ def test_dominates_examples(i1):
 def test_matching_json(i1):
     assert matching_to_json(i1, MZ_I1) == {"pairs": [["a", "y"], ["b", "x"]], "matched": 2}
     assert matching_to_json(i1, None) == {"pairs": None}
+
+
+def _sorted_json(inst, matching):
+    """``matching_to_json`` as a sort of the validated pairs by man index."""
+    if matching is None:
+        return {"pairs": None}
+    pairs = sorted(validate_matching(inst, matching), key=lambda p: inst._midx[p[0]])
+    return {"pairs": [[m, w] for m, w in pairs], "matched": len(pairs)}
+
+
+def test_matching_json_matches_sorted_form(i1):
+    for bad in ([("a", "x"), ("a", "y")], [("a", "q")]):
+        with pytest.raises(ValueError) as err:
+            matching_to_json(i1, bad)
+        with pytest.raises(ValueError) as want:
+            validate_matching(i1, bad)
+        assert str(err.value) == str(want.value)
+    rng = random.Random(4112)
+    for k in range(200):
+        inst = random_instance(rng.randint(1, 8), rng.randint(1, 8), 0.6, 0.3, seed=4112 + k)
+        edges = list(inst.edges)
+        rng.shuffle(edges)
+        used, matching = set(), []
+        for m, w in edges:
+            if m not in used and w not in used and rng.random() < 0.7:
+                used |= {m, w}
+                matching.append(("".join(m), "".join(w)))
+        for given in (matching, frozenset(matching), [], None):
+            got = matching_to_json(inst, given)
+            assert json.dumps(got) == json.dumps(_sorted_json(inst, given))
 
 
 def sweep(count=150, base=40_000, density=0.7, ties=0.3):
