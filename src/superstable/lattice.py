@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import lcm
 from typing import Iterator
 
@@ -17,7 +17,7 @@ from .rotations import (
     precedence_digraph,
     rotations_of,
 )
-from .stability import _blocking, _indexed, validate_matching
+from .stability import _blocking, _indexed
 
 
 def matching_of(first, rotations, subset) -> frozenset:
@@ -90,36 +90,63 @@ def join_meet(inst: Instance, a, b) -> tuple[frozenset, frozenset]:
     ``b``: in the join, (m2, w) would block ``a`` or (m1, w) block ``b``; in
     the meet, m1 strictly prefers ``b`` and m2 ``a``, so by opposition of
     interests w would strictly prefer m2 to m1 and m1 to m2.  Costs the two
-    ``blocking_edges`` prechecks plus two rank lookups per matched man.
+    ``blocking_edges`` prechecks plus O(|a Δ b|): only the men whose
+    partners differ choose.  The outputs are built from the inputs' own pair
+    objects, and when one input dominates the other they are the two inputs
+    themselves (as validated: a frozenset of pairs is kept as given).
     """
-    a, b = _indexed(inst, a), _indexed(inst, b)
-    for indexed in (a, b):
-        if _blocking(inst, indexed):
-            raise ValueError("join, meet and dominance are defined on super-stable matchings only")
-    mates_a, mates_b = a[1], b[1]
-    if [j < 0 for j in mates_a] != [j < 0 for j in mates_b]:
-        raise RuntimeError("super-stable matchings must match the same men")
-    join, meet = [], []
-    for i, (ja, jb) in enumerate(zip(mates_a, mates_b)):
-        if ja < 0:
-            continue
-        ranks = inst._man_rank[i]
-        if ranks[ja] == ranks[jb] and ja != jb:
-            raise RuntimeError("tied distinct partners contradict super-stability")
-        better, worse = (ja, jb) if ranks[ja] <= ranks[jb] else (jb, ja)
-        join.append((inst.men[i], inst.women[better]))
-        meet.append((inst.men[i], inst.women[worse]))
-    return frozenset(join), frozenset(meet)
+    a, b, better, worse, from_b = _choices(inst, a, b)
+    if not from_b:
+        return a, b
+    if from_b == len(better):
+        return b, a
+    common = a & b
+    # from an iterable: ``common.union(better)`` leaves a table twice as large
+    return frozenset(chain(common, better)), frozenset(chain(common, worse))
 
 
 def dominates(inst: Instance, first, second) -> bool:
     """True iff every man weakly prefers his partner in ``first`` to ``second``.
 
-    That is, the join of the two is ``first``; both inputs must be
-    super-stable, as for ``join_meet``.
+    That is, the join of the two is ``first``: no man whose partners differ
+    prefers ``second``.  Both inputs must be super-stable, as for
+    ``join_meet``, and the cost is the same: the two prechecks plus
+    O(|first Δ second|), with no output set built.
     """
-    first = validate_matching(inst, first)
-    return join_meet(inst, first, second)[0] == first
+    *_, from_second = _choices(inst, first, second)
+    return not from_second
+
+
+def _choices(inst: Instance, a, b):
+    """(a, b, better, worse, from_b): both inputs validated and prechecked as
+    for ``join_meet``; for each man whose partners differ, his better pair
+    in ``better`` and his worse one at the same position in ``worse``, each
+    the input's own object; ``from_b`` counts the men who prefer ``b``."""
+    a, b = _indexed(inst, a), _indexed(inst, b)
+    for indexed in (a, b):
+        if _blocking(inst, indexed):
+            raise ValueError("join, meet and dominance are defined on super-stable matchings only")
+    (a, mates_a, _), (b, mates_b, _) = a, b
+    if [j < 0 for j in mates_a] != [j < 0 for j in mates_b]:
+        raise RuntimeError("super-stable matchings must match the same men")
+    in_b = {pair[0]: pair for pair in b - a}
+    better, worse = [], []
+    from_b = 0
+    for pair in a - b:
+        i = inst._midx[pair[0]]
+        ranks = inst._man_rank[i]
+        rank_a, rank_b = ranks[mates_a[i]], ranks[mates_b[i]]
+        if rank_a == rank_b:
+            raise RuntimeError("tied distinct partners contradict super-stability")
+        other = in_b[pair[0]]
+        if rank_a < rank_b:
+            better.append(pair)
+            worse.append(other)
+        else:
+            better.append(other)
+            worse.append(pair)
+            from_b += 1
+    return a, b, better, worse, from_b
 
 
 def max_weight(inst: Instance, weights):

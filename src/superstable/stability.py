@@ -16,14 +16,31 @@ class NoSuperStableMatching(ValueError):
 
 
 def validate_matching(inst: Instance, pairs) -> frozenset:
-    """Normalize ``pairs`` to a frozenset and check it is a matching of ``inst``."""
+    """Normalize ``pairs`` to a frozenset and check it is a matching of ``inst``.
+
+    A frozenset whose members are all exact 2-tuples comes back as given,
+    the same object; any other iterable of pairs gives a new frozenset.
+    """
     return _indexed(inst, pairs)[0]
 
 
 def _indexed(inst: Instance, pairs):
     """(matching, mate_of_man, mate_of_woman): ``pairs`` validated as by
     ``validate_matching``, with each agent's partner index, -1 if unmatched."""
-    matching = frozenset((m, w) for m, w in pairs)
+    if (
+        type(pairs) is frozenset
+        and set(map(type, pairs)) <= {tuple}
+        and set(map(len, pairs)) <= {2}
+    ):
+        try:
+            return _mates(inst, pairs)
+        except ValueError:
+            pass  # name the offender that the rebuilt set meets first
+    return _mates(inst, frozenset((m, w) for m, w in pairs))
+
+
+def _mates(inst: Instance, matching: frozenset):
+    """``_indexed`` on a frozenset of 2-tuples, checked in its own order."""
     mate_of_man = [-1] * len(inst.men)
     mate_of_woman = [-1] * len(inst.women)
     for m, w in matching:

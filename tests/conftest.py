@@ -23,6 +23,7 @@ from superstable import (
     reduce_for_edge,
     validate_matching,
 )
+from superstable.stability import _blocking, _indexed
 
 I1_TEXT = """\
 # strict 2x2
@@ -328,6 +329,34 @@ def self_dual_by_name(inst, point):
         raise RuntimeError(f"objective mismatch: primal {primal} != dual {dual}")
     beta = {edge: Fraction(x.get(edge, 0)) for edge in inst.edges}
     return DualCertificate(alpha, beta), primal, dual
+
+
+# -- per-man reference for the lattice's join and meet ------------------------
+# This is the package's earlier ``join_meet``.  The differential test compares
+# the version that chooses only where the inputs differ with it.
+
+
+def reference_join_meet(inst, a, b):
+    """The package's earlier ``join_meet``: every matched man chooses, and
+    both outputs are built from fresh (man, woman) tuples."""
+    a, b = _indexed(inst, a), _indexed(inst, b)
+    for indexed in (a, b):
+        if _blocking(inst, indexed):
+            raise ValueError("join, meet and dominance are defined on super-stable matchings only")
+    mates_a, mates_b = a[1], b[1]
+    if [j < 0 for j in mates_a] != [j < 0 for j in mates_b]:
+        raise RuntimeError("super-stable matchings must match the same men")
+    join, meet = [], []
+    for i, (ja, jb) in enumerate(zip(mates_a, mates_b)):
+        if ja < 0:
+            continue
+        ranks = inst._man_rank[i]
+        if ranks[ja] == ranks[jb] and ja != jb:
+            raise RuntimeError("tied distinct partners contradict super-stability")
+        better, worse = (ja, jb) if ranks[ja] <= ranks[jb] else (jb, ja)
+        join.append((inst.men[i], inst.women[better]))
+        meet.append((inst.men[i], inst.women[worse]))
+    return frozenset(join), frozenset(meet)
 
 
 # -- per-token references for the text -> Instance path -----------------------

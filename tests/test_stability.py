@@ -40,6 +40,57 @@ def test_validate_matching(i1):
         validate_matching(i1, {("a", "x"), ("b", "x")})
 
 
+def test_validate_matching_keeps_a_frozenset_of_pairs(i1):
+    assert validate_matching(i1, M0_I1) is M0_I1
+    pairs = sorted(M0_I1)
+    for given in (set(pairs), pairs, (pair for pair in pairs)):
+        got = validate_matching(i1, given)
+        assert type(got) is frozenset and got is not given and got == M0_I1
+    # a tuple subclass or a length-2 string is rebuilt into plain pairs
+    named = type("Pair", (tuple,), {})
+    for member in (named(("a", "x")), "ax"):
+        got = validate_matching(i1, frozenset({member, ("b", "y")}))
+        assert got == M0_I1 and {type(pair) for pair in got} == {tuple}
+
+
+def test_validate_matching_errors_do_not_depend_on_the_container(i1):
+    # each malformed member fails the same way in a frozenset, which is
+    # checked as given when it holds 2-tuples only, and in a list
+    cases = (
+        (("a", "x", "z"), ValueError, "too many values"),
+        (("a",), ValueError, "not enough values"),
+        (7, TypeError, "non-iterable int"),
+        (("a", "a"), ValueError, "not an edge"),
+        (("a", "y"), ValueError, "'a' appears in two pairs"),
+        (("b", "x"), ValueError, "'x' appears in two pairs"),
+    )
+    for member, kind, text in cases:
+        wrapped = frozenset({("a", "x"), member})
+        caught = []
+        for given in (wrapped, list(wrapped)):
+            with pytest.raises(kind, match=text) as error:
+                validate_matching(i1, given)
+            caught.append(str(error.value))
+        assert caught[0] == caught[1], member
+    # with several offenders the first one named is the same too, also for
+    # a frozenset that iterates in another order than its rebuilt copy
+    inst = random_instance(12, 12, 0.5, 0.0, seed=4400)
+    rng = random.Random(4400)
+    every = [(m, w) for m in inst.men for w in inst.women]
+    reordered = 0
+    for _ in range(300):
+        wrapped = frozenset(rng.sample(every, 8))
+        reordered += list(frozenset(list(wrapped))) != list(wrapped)
+        outcomes = []
+        for given in (wrapped, list(wrapped)):
+            try:
+                outcomes.append(validate_matching(inst, given))
+            except ValueError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1], sorted(wrapped)
+    assert reordered
+
+
 def test_blocking_examples(i1, i2, i3):
     assert blocking_edges(i2, {("a", "x")}, SUPER) == {("b", "x")}
     assert blocking_edges(i1, M0_I1, SUPER) == frozenset()
