@@ -94,35 +94,37 @@ def rotations_of(sequence) -> list[Rotation]:
 def precedence_digraph(inst: Instance, first, rotations) -> RotationPoset:
     """Precedence arcs between rotations via preference-list labeling.
 
-    Each removed pair marks the position where its rotation takes the woman
-    away from the man ("handoff").  Each man a woman climbs strictly past
-    marks her position on his list with a "crossing" of that rotation.  A
-    top-down scan of every man's list then emits: handoff after handoff in
-    list order, and for each crossing an arc from the crossing rotation to
-    the rotation that moves the man below that woman.  The transitive
-    closure of the arcs is the full precedence order.
+    Each man keeps his labels by rank on his own list: a "handoff" where a
+    rotation takes his woman away, and a "crossing" where a rotation's woman
+    climbs strictly past him.  A top-down scan of each man's labelled ranks,
+    and no others, then emits: handoff after handoff in list order, and for
+    each crossing an arc from the crossing rotation to the rotation that
+    moves the man below that woman.  The transitive closure of the arcs is
+    the full precedence order.  Each rotation's added pairs must cover the
+    agents of its removed ones and no others.
     """
     first = validate_matching(inst, first)
     _eliminate(first, rotations, range(len(rotations)))
 
     midx, widx = inst._midx, inst._widx
     man_rank, woman_rank = inst._man_rank, inst._woman_rank
-    handoff: dict[tuple[int, int], tuple[int, int]] = {}  # (rotation, rank he lands on)
-    crossing: dict[tuple[int, int], list[int]] = {}
+    # per man, by rank: the handoff as (rotation, rank he lands on), one at
+    # most as men move strictly down, and the rotations crossing him there
+    handoff: list[dict[int, tuple[int, int]]] = [{} for _ in inst.men]
+    crossing: list[dict[int, list[int]]] = [{} for _ in inst.men]
     try:
         for k, rot in enumerate(rotations):
-            old_w = {midx[m]: widx[w] for m, w in rot.removed}
-            new_w = {midx[m]: widx[w] for m, w in rot.added}
-            for mi, wi in old_w.items():
+            removed = [(midx[m], widx[w]) for m, w in rot.removed]
+            added = [(midx[m], widx[w]) for m, w in rot.added]
+            new_w = dict(added)
+            new_m = {wi: mi for mi, wi in added}
+            for mi, wi in removed:
+                left = man_rank[mi][wi]
                 landing = man_rank[mi][new_w[mi]]
-                if landing <= man_rank[mi][wi]:
+                if landing <= left:
                     raise ValueError(f"rotation {k}: a man does not move strictly down")
-                if (mi, wi) in handoff:
-                    raise ValueError(f"two rotations remove the same pair")
-                handoff[(mi, wi)] = (k, landing)
-            old_m = {widx[w]: midx[m] for m, w in rot.removed}
-            new_m = {widx[w]: midx[m] for m, w in rot.added}
-            for wi, mi_old in old_m.items():
+                handoff[mi][left] = (k, landing)
+            for mi_old, wi in removed:
                 lo = woman_rank[wi][new_m[wi]]
                 hi = woman_rank[wi][mi_old]
                 if lo >= hi:
@@ -132,34 +134,34 @@ def precedence_digraph(inst: Instance, first, rotations) -> RotationPoset:
                 for tier in inst._woman_tiers[wi][lo:hi]:
                     for x in tier:
                         if x != mi_old:
-                            crossing.setdefault((x, wi), []).append(k)
+                            crossing[x].setdefault(man_rank[x][wi], []).append(k)
+            # the removed pairs lie in the replayed matching, so their agents
+            # are distinct, and the lookups found each among the added pairs:
+            # equal counts leave no other agent there.  A pair removed twice
+            # then needs its man moved back up in between, which the man-down
+            # check rejects first, so no handoff is overwritten
+            if not len(removed) == len(added) == len(new_w) == len(new_m):
+                raise ValueError(f"rotation {k} does not preserve the matched agents")
     except KeyError:
         raise ValueError("rotation references a pair missing from the lists") from None
 
     arcs: set[tuple[int, int]] = set()
-    for mi in range(len(inst.men)):
-        # the held rotation is the last handoff from a STRICTLY better tier;
-        # it endangers the pairs of the current tier exactly when it lands
-        # the man at this tier or below (a tied landing already hurts)
+    for handoffs, crossings in zip(handoff, crossing):
+        # the held rotation is the last handoff from a STRICTLY better rank;
+        # it endangers the pairs of the current rank exactly when it lands
+        # the man at this rank or below (a tied landing already hurts)
         hold: int | None = None
         hold_landing = 0
-        for rank0, tier in enumerate(inst._man_tiers[mi]):
-            tier_handoff = None
-            for wi in tier:
-                got = handoff.get((mi, wi))
-                if got is None:
-                    continue
-                rho, landing = got
-                if hold is not None:
-                    arcs.add((hold, rho))
-                tier_handoff = (rho, landing)  # at most one per tier
-            if hold is not None and hold_landing >= rank0 + 1:
-                for wi in tier:
-                    for rho in crossing.get((mi, wi), ()):
-                        if hold != rho:
-                            arcs.add((rho, hold))
-            if tier_handoff is not None:
-                hold, hold_landing = tier_handoff
+        for rank in sorted(handoffs.keys() | crossings.keys()):
+            got = handoffs.get(rank)
+            if got is not None and hold is not None:
+                arcs.add((hold, got[0]))
+            if hold is not None and hold_landing >= rank:
+                for rho in crossings.get(rank, ()):
+                    if hold != rho:
+                        arcs.add((rho, hold))
+            if got is not None:
+                hold, hold_landing = got
     for i, j in arcs:
         if i >= j:
             raise RuntimeError("precedence arc contradicts discovery order")
@@ -198,9 +200,7 @@ class _Chain(object):
     closes cycles: a search from w finds every vertex on a path back into
     C, and their components merge into C.  A fired rotation strips every
     traversed arc at its component's vertices, which leaves each of them a
-    component of its own.  ``rebuilds`` counts the vertex sets whose
-    components were set from scratch: the whole graph once, then each
-    fired rotation's component.
+    component of its own.
 
     Each step costs what it changes, not the size of the instance, save
     the copy of the matching that each chain entry is:
@@ -271,10 +271,9 @@ class _Chain(object):
         self._due: set[int] = set(range(nm))
         self._queue: list[int] = []
         self._pos = nm  # the man being visited; nm outside a round
-        self.rebuilds = 1
         self.visits = 0
         self.examined = 0
-        # 29 attributes: CPython 3.11 keeps an instance's attributes inline,
+        # 28 attributes: CPython 3.11 keeps an instance's attributes inline,
         # where methods load them fastest, for at most 30 names per class;
         # with 31 the search ran 5-9 % slower on the cyclic shift
 
@@ -570,7 +569,6 @@ class _Chain(object):
                 self._members[v] = [v]
                 self._outdeg[v] = 0
                 self._least[v] = v
-            self.rebuilds += 1
             # untried positions stay: each man took his new partner from
             # his first untried tier and then stepped past that tier
             fired = True

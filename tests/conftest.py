@@ -135,13 +135,20 @@ def block_union(seed, n, tie_prob):
     """Disjoint union of feasible complete random 5 x 5 blocks, n agents a
     side: rotations of different blocks are unordered, so the rotation poset
     is far from a chain, which random instances rarely are."""
-    men, women, prefs = [], [], {}
-    while len(men) < n:
+    blocks = []
+    while 5 * len(blocks) < n:
         seed += 1
         block = random_instance(5, 5, 1.0, tie_prob, seed=seed)
-        if optimal_super_stable(block) is None:
-            continue
-        tag = f"_{len(men) // 5}"
+        if optimal_super_stable(block) is not None:
+            blocks.append(block)
+    return union_of(blocks)
+
+
+def union_of(blocks):
+    """Disjoint union of instances; block b's agents carry the suffix _b."""
+    men, women, prefs = [], [], {}
+    for b, block in enumerate(blocks):
+        tag = f"_{b}"
         men += [m + tag for m in block.men]
         women += [w + tag for w in block.women]
         for agent, tiers in block.prefs.items():

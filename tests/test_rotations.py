@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,7 @@ from conftest import (
     merged_tiers,
     oracle_chain,
     tied_halves,
+    union_of,
 )
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
@@ -109,6 +111,12 @@ def test_digraph_rejects_corrupt_rotations(chain3, i1):
     swap = Rotation(removed=M0_I1, added=MZ_I1)
     with pytest.raises(ValueError, match="a woman does not move strictly up"):
         precedence_digraph(mutual, M0_I1, [swap])
+    # a moves down and x up, but b takes x while keeping y: two partners
+    stray = Rotation(frozenset({("a", "x")}), frozenset({("a", "y"), ("b", "x")}))
+    with pytest.raises(ValueError, match="does not preserve the matched agents"):
+        precedence_digraph(chain3, seq[0], [stray])
+    with pytest.raises(ValueError, match="does not preserve the matched agents"):
+        rotations_of([seq[0], (seq[0] - stray.removed) | stray.added])
 
 
 def test_rotation_direction_sweep():
@@ -255,13 +263,13 @@ def _chain_of(inst, chain_class=rotations._Chain):
 
 
 def test_chain_rebuilds_stay_per_rotation():
-    # recomputing components after every traversed arc costs about 13
-    # rebuilds per rotation here; local upkeep needs one per rotation
+    # the ready heap reads about one group per rotation fired, not every
+    # component at each call; here every group read fires (28 of 28)
     inst = random_instance(200, 200, 0.5, 0.0, seed=45_200)
     chain, sequence = _chain_of(inst)
     fired = len(sequence) - 1
     assert fired > 10
-    assert chain.rebuilds <= 3 * fired
+    assert chain.examined <= 3 * fired
 
 
 def test_chain_work_stays_per_edge():
@@ -345,11 +353,14 @@ class _CheckedChain(rotations._Chain):
     checks that every open multi-vertex group is queued under its smallest
     member, and that every man whose visit could act is queued: in the
     current round when he comes after the visited man, else in the next.
-    ``drops`` counts the ties given up in ``_drop_tied_candidates``."""
+    ``drops`` counts the ties given up in ``_drop_tied_candidates``, and
+    ``stale`` the women it strikes from ``_tied`` for holding fewer than
+    two candidates."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.drops = 0
+        self.stale = 0
         self._bottom_before = list(self.bottom)
 
     def _check(self):
@@ -409,8 +420,12 @@ class _CheckedChain(rotations._Chain):
         return plan
 
     def _drop_tied_candidates(self):
+        # a drop discards only its own woman's candidates, so the women
+        # struck as stale are those that leave ``_tied`` with fewer than two
+        stale = {w for w in self._tied if len(self.cand_w[w]) < 2}
         dropped = super()._drop_tied_candidates()
         self.drops += dropped
+        self.stale += len(stale - self._tied)
         self._check()
         return dropped
 
@@ -540,6 +555,66 @@ def test_tier_deletion_counterexamples(inst):
     enumerated = list(enumerate_all(inst))
     brute = _between_optima(inst, sequence[0], sequence[-1])
     assert len(enumerated) == len(set(enumerated)) and set(enumerated) == set(brute)
+
+
+@pytest.mark.parametrize(
+    "inst, size",
+    [
+        (random_instance(8, 8, 0.8, 0.2, seed=5269), 3),
+        (random_instance(6, 6, 1.0, 0.2, seed=35921), 2),
+    ],
+    ids=["sparse_8x8", "complete_6x6"],
+)
+def test_chain_strikes_stale_tied_women(inst, size):
+    # a woman left in ``_tied`` after losing a candidate is struck off when
+    # the drop scan meets her; a search of seeds 0-59,999 found only these
+    # two instances that reach that branch
+    from superstable import enumerate_all
+
+    chain, sequence = _chain_of(inst, _CheckedChain)
+    assert chain.stale
+    assert sequence == maximal_sequence(inst)
+    enumerated = list(enumerate_all(inst))
+    brute = _between_optima(inst, sequence[0], sequence[-1])
+    assert len(enumerated) == len(set(enumerated)) == size
+    assert set(enumerated) == set(brute)
+
+
+# the first ten seeds at which random_instance(5, 5, 1.0, 0.3, seed) fires a
+# drop; each such block has one rotation and two super-stable matchings
+DROP_SEEDS = (4270, 15209, 117869, 137088, 141401, 193752, 222368, 227063, 238435, 264847)
+
+
+def test_drop_block_union():
+    # every block of the union fires its drop, and the union's lattice is the
+    # product of the blocks' lattices, checked against brute force per block
+    from superstable import enumerate_all
+
+    blocks = [random_instance(5, 5, 1.0, 0.3, seed=seed) for seed in DROP_SEEDS]
+    inst = union_of(blocks)
+    chain, _ = _chain_of(inst, _CheckedChain)
+    assert chain.drops == len(blocks)
+    _, poset = build_poset(inst)
+    assert len(poset.rotations) == len(blocks) and poset.arcs == frozenset()
+    lattices = [
+        [
+            frozenset((m + f"_{b}", w + f"_{b}") for m, w in matching)
+            for matching in brute_stable_set(block, max_edges=25)
+        ]
+        for b, block in enumerate(blocks)
+    ]
+    assert [len(lattice) for lattice in lattices] == [2] * len(blocks)
+    enumerated = list(enumerate_all(inst))
+    assert len(enumerated) == len(set(enumerated)) == 2 ** len(blocks)
+    assert set(enumerated) == {frozenset().union(*parts) for parts in product(*lattices)}
+    rng = random.Random(0)
+    weights = {edge: rng.randint(-9, 9) for edge in inst.edges}
+    best, total = max_weight(inst, weights)
+
+    def worth(matching):
+        return sum(weights[edge] for edge in matching)
+
+    assert total == worth(best) == sum(max(map(worth, lattice)) for lattice in lattices)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
