@@ -351,9 +351,8 @@ def _raise_first_bad_token(rest: str, agent: str, ln: int) -> None:
     members: int | None = None  # names in the open tie group; None outside one
     pos = 0
     while pos < len(rest):
+        # ``rest`` ends in a non-space, so ``_TOKEN`` matches at every pos
         match = _TOKEN.match(rest, pos)
-        if match is None:
-            break
         pos = match.end()
         _, opener, closer, junk = match.groups()
         col = match.start(match.lastindex) + 1 + len(agent) + 1

@@ -35,7 +35,10 @@ def incidence_vector(matching) -> dict:
 
 def convex_combination(points, coefficients) -> dict:
     """Exact convex combination of edge vectors (coefficients must sum to 1)."""
+    points = list(points)
     coefficients = [Fraction(c) for c in coefficients]
+    if len(points) != len(coefficients):
+        raise ValueError(f"{len(points)} points but {len(coefficients)} coefficients")
     if sum(coefficients) != 1 or any(c < 0 for c in coefficients):
         raise ValueError("coefficients must be nonnegative and sum to 1")
     combined: dict = {}
@@ -227,8 +230,9 @@ def vertices(inst: Instance, model: str = SUPER, cap: int = 8) -> list[dict]:
     """Every extreme point of the chosen system, by exact basis enumeration.
 
     Selects |E| constraints to hold with equality, solves the square rational
-    system whenever it is uniquely solvable, and keeps feasible solutions,
-    deduplicated.  ``cap`` guards the combinatorial blow-up.
+    system whenever it is uniquely solvable, and keeps the solutions that
+    ``check_point``'s kernel accepts, deduplicated.  ``cap`` guards the
+    combinatorial blow-up.
     """
     if model not in (SUPER, STRONG):
         raise ValueError(f"unknown model {model!r}")
@@ -238,8 +242,7 @@ def vertices(inst: Instance, model: str = SUPER, cap: int = 8) -> list[dict]:
         raise ValueError(f"|E| = {nvars} exceeds cap = {cap}")
     if nvars == 0:
         return [{}]  # zero-dimensional system: the empty vector is its vertex
-    feasible_rows = _constraint_rows(inst, model)
-    pool = sorted({(coeffs, rhs) for coeffs, rhs, _ in feasible_rows}, reverse=True)
+    pool = sorted(set(_constraint_rows(inst, model)), reverse=True)
     found: dict[tuple, dict] = {}
     pivots: list[tuple[int, list[int], int]] = []
 
@@ -251,13 +254,9 @@ def vertices(inst: Instance, model: str = SUPER, cap: int = 8) -> list[dict]:
                 if c != col and row[c]:
                     acc -= row[c] * x[c]
             x[col] = acc / row[col]
-        for coeffs, rhs, sense in feasible_rows:
-            value = sum(c * xi for c, xi in zip(coeffs, x) if c)
-            if (sense == "le" and value > rhs) or (sense == "ge" and value < rhs):
-                return
-        key = tuple(x)
-        if key not in found:
-            found[key] = {edge: x[i] for i, edge in enumerate(edges) if x[i] != 0}
+        point = {edge: value for edge, value in zip(edges, x) if value}
+        if not _violations(inst, _tier_sums(inst, point), model):
+            found.setdefault(tuple(x), point)
 
     def descend(start: int, need: int) -> None:
         if need == 0:
@@ -300,43 +299,30 @@ def _eliminate(pivots, coeffs, rhs):
 
 
 def _constraint_rows(inst: Instance, model: str):
-    """Rows (integer coefficient tuple, rhs, sense) of the chosen system."""
-    edges = inst.edges
-    nvars = len(edges)
-    at = {edge: i for i, edge in enumerate(edges)}
-    rows = []
+    """Rows (0/1 coefficient tuple, rhs) of the chosen system, read off the
+    rank maps, with edge (i, j) in its ``inst.edges`` column: incident sums
+    (at most 1), stability rows (at least 1), nonnegativity (at least 0)."""
+    man_rank, woman_rank = inst._man_rank, inst._woman_rank
+    col: dict[tuple[int, int], int] = {}
+    for i, ranks in enumerate(man_rank):
+        for j in ranks:
+            col[i, j] = len(col)
 
-    def incident(name):
-        if name in inst._midx:
-            return [at[(name, w)] for w in inst.neighbors(name)]
-        return [at[(m, name)] for m in inst.neighbors(name)]
-
-    for name in inst.men + inst.women:
-        cols = incident(name)
-        if not cols:
-            continue
-        coeffs = [0] * nvars
+    def row(cols, rhs):
+        coeffs = [0] * len(col)
         for c in cols:
             coeffs[c] = 1
-        rows.append((tuple(coeffs), 1, "le"))
-    for m, w in edges:
-        rm = inst.man_rank(m, w)
-        rw = inst.woman_rank(w, m)
-        strict_m = [at[(m, v)] for v in inst.neighbors(m) if inst.man_rank(m, v) < rm]
-        strict_w = [at[(u, w)] for u in inst.neighbors(w) if inst.woman_rank(w, u) < rw]
-        tie_m = [at[(m, v)] for v in inst.neighbors(m) if inst.man_rank(m, v) == rm]
-        tie_w = [at[(u, w)] for u in inst.neighbors(w) if inst.woman_rank(w, u) == rw]
+        return tuple(coeffs), rhs
+
+    rows = [row([col[i, j] for j in ranks], 1) for i, ranks in enumerate(man_rank) if ranks]
+    rows += [row([col[i, j] for i in ranks], 1) for j, ranks in enumerate(woman_rank) if ranks]
+    for (i, j), c in col.items():
+        rm, rw = man_rank[i][j], woman_rank[j][i]
+        strict = [col[i, v] for v, r in man_rank[i].items() if r < rm]
+        strict += [col[u, j] for u, r in woman_rank[j].items() if r < rw]
         if model == SUPER:
-            variants = [strict_m + strict_w + [at[(m, w)]]]
+            rows.append(row(strict + [c], 1))
         else:
-            variants = [strict_m + strict_w + tie_m, strict_m + strict_w + tie_w]
-        for cols in variants:
-            coeffs = [0] * nvars
-            for c in cols:
-                coeffs[c] = 1
-            rows.append((tuple(coeffs), 1, "ge"))
-    for i in range(nvars):
-        coeffs = [0] * nvars
-        coeffs[i] = 1
-        rows.append((tuple(coeffs), 0, "ge"))
-    return rows
+            rows.append(row(strict + [col[i, v] for v, r in man_rank[i].items() if r == rm], 1))
+            rows.append(row(strict + [col[u, j] for u, r in woman_rank[j].items() if r == rw], 1))
+    return rows + [row([c], 0) for c in range(len(col))]

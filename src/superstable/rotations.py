@@ -381,6 +381,11 @@ class _Chain(object):
         they never become candidates, but traversing them welds their
         components together.  Men only descend and bounds only fall, so each
         test once failed stays failed, and a skipped tier stays empty.
+
+        So a man visited short of his last partner with his pool run out
+        could never hold a candidate again: he would never rotate, ``_away``
+        would never reach 0, and ``run`` would end in its stall error.  An
+        empty pool raises here instead, naming its cause.
         """
         tiers = self.inst._man_tiers[m]
         wrank, bottom = self.wrank, self.bottom
@@ -389,8 +394,7 @@ class _Chain(object):
             if women:
                 self.untried[m] = i
                 return sorted(women)
-        self.untried[m] = len(tiers)
-        return []
+        raise RuntimeError("untried pool exhausted (internal error)")
 
     def _cand_discard(self, m: int, w: int) -> None:
         # the traversed arc stays: dropped candidates still tie their
@@ -417,8 +421,6 @@ class _Chain(object):
         if self.match_m[m] == self.last_m[m] or self.cand_m[m] or self._outdeg[self._comp[m]]:
             return False
         women = self._pool_top(m)
-        if not women:
-            return False
         acted = False
         for w in women:
             if w not in self.trav_m[m]:

@@ -2,6 +2,7 @@ import random
 import re
 from collections import deque
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import strategies as st
@@ -695,3 +696,129 @@ def reference_propose_and_delete(inst, side):
             pair = (proposers[p], receivers[next(iter(eng_p[p]))])
             pairs.append(pair if side == MEN else pair[::-1])
     return frozenset(pairs)
+
+
+# -- basis-enumeration reference for the vertex enumeration -------------------
+# This is the package's earlier ``vertices`` with its two helpers, which
+# evaluates every constraint row in ``Fraction``s for every basis and builds
+# its rows by agent name.  The differential test compares ``vertices`` with
+# it; it holds no import from ``superstable.polytope``.
+
+
+def reference_vertices(inst: Instance, model: str = SUPER, cap: int = 8) -> list[dict]:
+    """Every extreme point of the chosen system, by exact basis enumeration.
+
+    Selects |E| constraints to hold with equality, solves the square rational
+    system whenever it is uniquely solvable, and keeps feasible solutions,
+    deduplicated.  ``cap`` guards the combinatorial blow-up.
+    """
+    if model not in (SUPER, STRONG):
+        raise ValueError(f"unknown model {model!r}")
+    edges = inst.edges
+    nvars = len(edges)
+    if nvars > cap:
+        raise ValueError(f"|E| = {nvars} exceeds cap = {cap}")
+    if nvars == 0:
+        return [{}]  # zero-dimensional system: the empty vector is its vertex
+    feasible_rows = _reference_constraint_rows(inst, model)
+    pool = sorted({(coeffs, rhs) for coeffs, rhs, _ in feasible_rows}, reverse=True)
+    found: dict[tuple, dict] = {}
+    pivots: list[tuple[int, list[int], int]] = []
+
+    def solve() -> None:
+        x: list[Fraction] = [Fraction(0)] * nvars
+        for col, row, rhs in reversed(pivots):
+            acc = Fraction(rhs)
+            for c in range(nvars):
+                if c != col and row[c]:
+                    acc -= row[c] * x[c]
+            x[col] = acc / row[col]
+        for coeffs, rhs, sense in feasible_rows:
+            value = sum(c * xi for c, xi in zip(coeffs, x) if c)
+            if (sense == "le" and value > rhs) or (sense == "ge" and value < rhs):
+                return
+        key = tuple(x)
+        if key not in found:
+            found[key] = {edge: x[i] for i, edge in enumerate(edges) if x[i] != 0}
+
+    def descend(start: int, need: int) -> None:
+        if need == 0:
+            solve()
+            return
+        for idx in range(start, len(pool) - need + 1):
+            reduced = _reference_eliminate(pivots, *pool[idx])
+            if reduced is None:
+                continue
+            pivots.append(reduced)
+            descend(idx + 1, need - 1)
+            pivots.pop()
+
+    descend(0, nvars)
+    return [found[key] for key in sorted(found)]
+
+
+def _reference_eliminate(pivots, coeffs, rhs):
+    """Fraction-free reduction of a row against the chosen pivots.
+
+    Returns (pivot column, reduced integer row, reduced rhs), or None when
+    the row is linearly dependent on / inconsistent with the pivots.
+    """
+    row = list(coeffs)
+    r = rhs
+    for col, prow, prhs in pivots:
+        f = row[col]
+        if f:
+            p = prow[col]
+            row = [a * p - f * b for a, b in zip(row, prow)]
+            r = r * p - f * prhs
+            shrink = gcd(*row, r)
+            if shrink > 1:
+                row = [a // shrink for a in row]
+                r //= shrink
+    for col, value in enumerate(row):
+        if value:
+            return col, row, r
+    return None
+
+
+def _reference_constraint_rows(inst: Instance, model: str):
+    """Rows (integer coefficient tuple, rhs, sense) of the chosen system."""
+    edges = inst.edges
+    nvars = len(edges)
+    at = {edge: i for i, edge in enumerate(edges)}
+    rows = []
+
+    def incident(name):
+        if name in inst._midx:
+            return [at[(name, w)] for w in inst.neighbors(name)]
+        return [at[(m, name)] for m in inst.neighbors(name)]
+
+    for name in inst.men + inst.women:
+        cols = incident(name)
+        if not cols:
+            continue
+        coeffs = [0] * nvars
+        for c in cols:
+            coeffs[c] = 1
+        rows.append((tuple(coeffs), 1, "le"))
+    for m, w in edges:
+        rm = inst.man_rank(m, w)
+        rw = inst.woman_rank(w, m)
+        strict_m = [at[(m, v)] for v in inst.neighbors(m) if inst.man_rank(m, v) < rm]
+        strict_w = [at[(u, w)] for u in inst.neighbors(w) if inst.woman_rank(w, u) < rw]
+        tie_m = [at[(m, v)] for v in inst.neighbors(m) if inst.man_rank(m, v) == rm]
+        tie_w = [at[(u, w)] for u in inst.neighbors(w) if inst.woman_rank(w, u) == rw]
+        if model == SUPER:
+            variants = [strict_m + strict_w + [at[(m, w)]]]
+        else:
+            variants = [strict_m + strict_w + tie_m, strict_m + strict_w + tie_w]
+        for cols in variants:
+            coeffs = [0] * nvars
+            for c in cols:
+                coeffs[c] = 1
+            rows.append((tuple(coeffs), 1, "ge"))
+    for i in range(nvars):
+        coeffs = [0] * nvars
+        coeffs[i] = 1
+        rows.append((tuple(coeffs), 0, "ge"))
+    return rows

@@ -17,7 +17,13 @@ from superstable import (
     vertices,
 )
 from superstable.oracle import brute_stable_set, enumerate_matchings, has_blocking_edge
-from conftest import block_union, blocking_edges_by_name, check_point_by_name, self_dual_by_name
+from conftest import (
+    block_union,
+    blocking_edges_by_name,
+    check_point_by_name,
+    reference_vertices,
+    self_dual_by_name,
+)
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
 MZ_I1 = frozenset({("a", "y"), ("b", "x")})
@@ -93,6 +99,44 @@ def test_vertices_examples(i1, i2):
     assert vertices(SINGLE_EDGE, "super", 8) == [{("a", "x"): 1}]
 
 
+def _assert_same_vertices(inst, label):
+    for model in ("super", "strong"):
+        got, want = vertices(inst, model, 8), reference_vertices(inst, model, 8)
+        # list order, each point's key order and its exact values
+        assert [list(p.items()) for p in got] == [list(p.items()) for p in want], (label, model)
+        assert all(type(v) is Fraction for p in got for v in p.values()), (label, model)
+
+
+def _small_instances(count, largest, max_edges, first_seed):
+    """(seed, instance) for the first ``count`` seeds from ``first_seed`` on
+    whose n x n instance, n = 2 .. ``largest`` in turn, has at most
+    ``max_edges`` edges."""
+    found = []
+    for seed in range(first_seed, first_seed + 100 * count):
+        n = 2 + seed % (largest - 1)
+        inst = random_instance(n, n, 0.7, 0.4, seed=seed)
+        if len(inst.edges) <= max_edges:
+            found.append((seed, inst))
+            if len(found) == count:
+                return found
+    raise AssertionError("too few small instances")
+
+
+def test_vertices_match_reference(i1, i2):
+    no_edges = Instance(["a", "b"], ["x"], {})
+    for label, inst in (("i1", i1), ("i2", i2), ("single", SINGLE_EDGE), ("empty", no_edges)):
+        _assert_same_vertices(inst, label)
+    assert vertices(no_edges, "strong", 8) == [{}]
+    for seed, inst in _small_instances(110, 3, 5, 57_000):
+        _assert_same_vertices(inst, seed)
+
+
+@pytest.mark.slow
+def test_vertices_match_reference_corpus():
+    for seed, inst in _small_instances(520, 4, 7, 58_000):
+        _assert_same_vertices(inst, seed)
+
+
 def test_vertices_cap():
     inst = random_instance(3, 3, 1.0, 0.0, seed=3)
     with pytest.raises(ValueError, match="cap"):
@@ -109,6 +153,11 @@ def test_point_file(i1):
 def test_convex_combination_validation(i1):
     with pytest.raises(ValueError, match="sum to 1"):
         convex_combination([incidence_vector(M0_I1)], [Fraction(1, 2)])
+    # a length mismatch is reported, not cut short by zip
+    with pytest.raises(ValueError, match="1 points but 2 coefficients"):
+        convex_combination([incidence_vector(M0_I1)], [Fraction(1, 2), Fraction(1, 2)])
+    with pytest.raises(ValueError, match="2 points but 1 coefficients"):
+        convex_combination(iter([incidence_vector(M0_I1), incidence_vector(MZ_I1)]), [1])
 
 
 def test_integral_characterization_sweep():

@@ -617,6 +617,34 @@ def test_drop_block_union():
     assert total == worth(best) == sum(max(map(worth, lattice)) for lattice in lattices)
 
 
+def test_drop_blocks_mixed_with_counterexamples():
+    # the drop blocks and both pinned counterexamples in one union, so drops
+    # interleave with multi-cycle rotations; each block's lattice is found by
+    # brute force, between its optima for the larger two
+    from superstable import enumerate_all
+
+    blocks = [random_instance(5, 5, 1.0, 0.3, seed=seed) for seed in DROP_SEEDS]
+    blocks += [random_instance(10, 10, 1.0, 0.2, seed=505501404), parse_instance(TIER_DELETION_TEXT)]
+    inst = union_of(blocks)
+    assert (len(inst.men), len(inst.edges)) == (68, 414)
+    chain, sequence = _chain_of(inst, _CheckedChain)
+    assert chain.drops == 12 and sequence == maximal_sequence(inst)
+    _, poset = build_poset(inst)
+    assert len(poset.rotations) == 13 and len(poset.arcs) == 1
+    lattices = []
+    for b, block in enumerate(blocks):
+        if len(block.men) == 5:
+            found = brute_stable_set(block, max_edges=25)
+        else:
+            top, bottom = (optimal_super_stable(block, side) for side in (MEN, WOMEN))
+            found = _between_optima(block, top, bottom)
+        lattices.append([frozenset((m + f"_{b}", w + f"_{b}") for m, w in x) for x in found])
+    assert [len(lattice) for lattice in lattices] == [2] * 10 + [2, 3]
+    enumerated = list(enumerate_all(inst))
+    assert len(enumerated) == len(set(enumerated)) == 6_144
+    assert set(enumerated) == {frozenset().union(*parts) for parts in product(*lattices)}
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.sampled_from((0.1, 0.4)).flatmap(lambda p: tied_halves(tie_prob=p)))
 def test_maximal_sequence_property(inst):
