@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .fixed_edge import irreducible_poset
@@ -23,10 +24,9 @@ from .instance import (
     random_instance,
     serialize_instance,
 )
-from .lattice import enumerate_all, max_weight
+from .lattice import _matchings, build_poset, enumerate_all, max_weight
 from .oracle import brute_stable_set
 from .polytope import check_point, vertices
-from .rotations import maximal_sequence, precedence_digraph, rotations_of
 from .stability import (
     MEN,
     NoSuperStableMatching,
@@ -155,13 +155,14 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_rotations(args) -> int:
     inst = _load(args.file)
-    sequence = maximal_sequence(inst)
-    rotations = rotations_of(sequence)
-    if sequence:
-        poset = precedence_digraph(inst, sequence[0], rotations)
-        arcs = sorted(poset.arcs)
+    built = build_poset(inst)
+    if built is None:
+        sequence, rotations, arcs = [], (), []
     else:
-        arcs = []
+        first, poset = built
+        rotations, arcs = poset.rotations, sorted(poset.arcs)
+        # the enumeration's first descent is the chain the poset was read off
+        sequence = list(islice(_matchings(inst, first, poset), len(rotations) + 1))
     if args.dot:
         nodes = []
         for k, rot in enumerate(rotations):

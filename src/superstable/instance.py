@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, filterfalse, repeat
 from operator import contains
@@ -387,6 +388,19 @@ def serialize_instance(inst: Instance) -> str:
         ]
         lines.append(f"{name}: {' '.join(entries)}")
     return "\n".join(lines) + "\n"
+
+
+@contextmanager
+def _reproducible(inst: Instance):
+    """An internal ``RuntimeError`` raised inside gets ``inst``'s text
+    appended after a comment line, so that everything after the message's
+    first line re-runs the failure."""
+    try:
+        yield
+    except RuntimeError as err:
+        text = serialize_instance(inst)
+        err.args = (f"{err}\n# an instance that reproduces this error\n{text}",)
+        raise
 
 
 # -- random generation -------------------------------------------------------

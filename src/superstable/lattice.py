@@ -9,7 +9,7 @@ from itertools import chain, islice
 from math import lcm
 from typing import Iterator
 
-from .instance import Instance
+from .instance import Instance, _reproducible
 from .rotations import (
     RotationPoset,
     _eliminate,
@@ -71,14 +71,45 @@ def enumerate_all(inst: Instance, limit: int | None = None) -> Iterator[frozense
     """Stream every super-stable matching, one per closed subset.
 
     Deterministic order starting at the man-optimal matching; empty stream
-    when the instance is infeasible.
+    when the instance is infeasible.  The first ``len(rotations) + 1``
+    matchings are ``maximal_sequence``'s chain.  Each step costs what the
+    rotations it applies or undoes move, plus the copy of its output.
     """
     built = build_poset(inst)
     if built is None:
         return
-    first, poset = built
-    for subset in islice(closed_subsets(poset), limit):
-        yield matching_of(first, poset.rotations, subset)
+    yield from islice(_matchings(inst, *built), limit)
+
+
+def _matchings(inst: Instance, first, poset: RotationPoset) -> Iterator[frozenset]:
+    """The matching of each closed subset, in ``closed_subsets`` order.
+
+    Each step of the walk keeps a prefix of the last subset's members,
+    which it took in ascending position, and takes one rotation above the
+    kept ones: its matching undoes the dropped rotations, latest first, and
+    applies the taken one (Gusfield & Irving 1989), instead of a replay
+    from ``first``.  The first descent takes every rotation in discovery
+    order, so it walks the chain the poset was read off.
+    """
+    rotations = poset.rotations
+    current = set(first)
+    applied: list[int] = []  # the last subset's members, ascending
+    with _reproducible(inst):
+        for subset in closed_subsets(poset):
+            if subset:
+                # the step kept all of this subset but its largest member
+                while len(applied) >= len(subset):
+                    rot = rotations[applied.pop()]
+                    current -= rot.added
+                    current |= rot.removed
+                k = max(subset)
+                rot = rotations[k]
+                if not rot.removed <= current:
+                    raise RuntimeError(f"rotation {k} is not exposed at its turn (internal error)")
+                current -= rot.removed
+                current |= rot.added
+                applied.append(k)
+            yield frozenset(current)
 
 
 def join_meet(inst: Instance, a, b) -> tuple[frozenset, frozenset]:

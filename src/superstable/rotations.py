@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .instance import Instance, MEN, WOMEN
+from .instance import Instance, MEN, WOMEN, _reproducible
 from .stability import optimal_super_stable, validate_matching
 
 
@@ -64,15 +64,16 @@ def maximal_sequence(inst: Instance) -> list[frozenset]:
     Empty when the instance is infeasible.  Consecutive entries are strict
     successors: no super-stable matching fits strictly between them.  The
     first entry is the man-optimal matching and the last the woman-optimal
-    one.
+    one.  An internal error carries the instance's text (``_reproducible``).
     """
-    first = optimal_super_stable(inst, MEN)
-    if first is None:
-        return []
-    last = optimal_super_stable(inst, WOMEN)
-    if last is None:
-        raise RuntimeError("woman-optimal solve failed after the man-optimal one succeeded")
-    return [first] + _Chain(inst, first, last).run()
+    with _reproducible(inst):
+        first = optimal_super_stable(inst, MEN)
+        if first is None:
+            return []
+        last = optimal_super_stable(inst, WOMEN)
+        if last is None:
+            raise RuntimeError("woman-optimal solve failed after the man-optimal one succeeded")
+        return [first] + _Chain(inst, first, last).run()
 
 
 def rotations_of(sequence) -> list[Rotation]:
@@ -101,7 +102,8 @@ def precedence_digraph(inst: Instance, first, rotations) -> RotationPoset:
     each crossing an arc from the crossing rotation to the rotation that
     moves the man below that woman.  The transitive closure of the arcs is
     the full precedence order.  Each rotation's added pairs must cover the
-    agents of its removed ones and no others.
+    agents of its removed ones and no others.  An arc against discovery
+    order is an internal error and carries the instance's text.
     """
     first = validate_matching(inst, first)
     _eliminate(first, rotations, range(len(rotations)))
@@ -162,9 +164,10 @@ def precedence_digraph(inst: Instance, first, rotations) -> RotationPoset:
                         arcs.add((rho, hold))
             if got is not None:
                 hold, hold_landing = got
-    for i, j in arcs:
-        if i >= j:
-            raise RuntimeError("precedence arc contradicts discovery order")
+    with _reproducible(inst):
+        for i, j in arcs:
+            if i >= j:
+                raise RuntimeError("precedence arc contradicts discovery order")
     return RotationPoset(tuple(rotations), frozenset(arcs))
 
 

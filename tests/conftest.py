@@ -81,6 +81,38 @@ z: c
 """
 
 
+# strict men, heavily tied women.  Like random_instance(10, 10, 1.0, 0.2,
+# seed=505501404), it defeats a chain search in which a woman giving up a
+# tied rank blocks that rank alone: a man she ranks between it and her
+# partner then takes her while the tied men fall below her, and they
+# block the chain's matching ((m3, w5) and (m5, w5) here, (m2, w1) and
+# (m9, w1) there), which precedence_digraph then rejects
+TIER_DELETION_TEXT = """\
+men: m0 m1 m2 m3 m4 m5 m6 m7
+women: w0 w1 w2 w3 w4 w5 w6 w7
+m0: w7 w4 w6 w5 w2 w0 w3 w1
+m1: w4 w7 w5 w1 w3 w0 w2 w6
+m2: w4 w1 w2 w7 w3 w0 w5 w6
+m3: w2 w7 w5 w1 w3 w4 w0 w6
+m4: w5 w4 w2 w6 w0 w7 w3 w1
+m5: w6 w5 w4 w3 w7 w2 w0 w1
+m6: w3 w4 w1 w6 w2 w0 w7 w5
+m7: w0 w3 w7 w4 w2 w1 w5 w6
+w0: m3 (m0 m5) m2 m7 m4 m1 m6
+w1: m7 m3 (m1 m4) m5 m0 (m6 m2)
+w2: m5 m4 m3 (m0 m2 m6) m1 m7
+w3: m0 m5 (m1 m2 m6 m7) m3 m4
+w4: m1 (m6 m5 m4) m2 m7 m0 m3
+w5: m2 (m3 m5) m0 (m7 m6) m4 m1
+w6: m2 (m1 m7 m6) (m4 m0) m5 m3
+w7: m5 (m7 m1) (m3 m0) m2 m4 m6
+"""
+
+# the first ten seeds at which random_instance(5, 5, 1.0, 0.3, seed) fires a
+# drop; each such block has one rotation and two super-stable matchings
+DROP_SEEDS = (4270, 15209, 117869, 137088, 141401, 193752, 222368, 227063, 238435, 264847)
+
+
 @pytest.fixture(scope="session")
 def i1():
     return parse_instance(I1_TEXT)
@@ -155,6 +187,19 @@ def union_of(blocks):
         for agent, tiers in block.prefs.items():
             prefs[agent + tag] = [[p + tag for p in tier] for tier in tiers]
     return Instance(men, women, prefs)
+
+
+def drop_union(copies=1, mixed=False):
+    """``copies`` copies of the ten ``DROP_SEEDS`` blocks in one union (n = 50
+    per copy), each block firing one drop; ``mixed`` adds both pinned
+    counterexamples (n = 68 for one copy)."""
+    blocks = [random_instance(5, 5, 1.0, 0.3, seed=seed) for seed in DROP_SEEDS] * copies
+    if mixed:
+        blocks += [
+            random_instance(10, 10, 1.0, 0.2, seed=505501404),
+            parse_instance(TIER_DELETION_TEXT),
+        ]
+    return union_of(blocks)
 
 
 def cyclic_shift(n):

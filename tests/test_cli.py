@@ -174,6 +174,19 @@ def test_rotations(capsys, i1_file, i2_file):
     assert code == 0 and out.startswith("digraph rotations {")
 
 
+def test_rotations_sequence_opens_the_enumeration(capsys, tmp_path):
+    # the printed chain is the first descent of the enumeration's walk
+    strict = superstable.serialize_instance(superstable.random_instance(30, 30, 1.0, 0.0, seed=1))
+    for k, text in enumerate((CHAIN3_TEXT, strict)):
+        path = tmp_path / f"{k}.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, "rotations", str(path))
+        sequence = json.loads(out)["sequence"]
+        assert code == 0 and len(sequence) > 2, k
+        code, out, _ = run(capsys, "enumerate", "--limit", str(len(sequence)), str(path))
+        assert code == 0 and [json.loads(line) for line in out.splitlines()] == sequence, k
+
+
 def test_irreducible(capsys, i1_file, i2_file):
     code, out, _ = run(capsys, "irreducible", i1_file)
     assert code == 0

@@ -2,6 +2,7 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from math import prod
 
 import pytest
@@ -21,12 +22,15 @@ from superstable import (
     join_meet,
     matching_of,
     max_weight,
+    maximal_sequence,
     optimal_super_stable,
+    parse_instance,
     random_instance,
 )
+from superstable import lattice
 from superstable.lattice import _best_closure
 from superstable.oracle import brute_stable_set, has_blocking_edge
-from conftest import block_union, cyclic_shift, reference_join_meet, tied_halves
+from conftest import block_union, cyclic_shift, drop_union, reference_join_meet, tied_halves
 
 M0_I1 = frozenset({("a", "x"), ("b", "y")})
 MZ_I1 = frozenset({("a", "y"), ("b", "x")})
@@ -356,3 +360,49 @@ def test_join_meet_and_max_weight_property(inst, rng):
         return sum((weights[e] for e in matching), Fraction(0))
 
     assert best in stable and worth(best) == total == max(map(worth, stable))
+
+
+def test_enumeration_opens_with_the_chain():
+    # the walk's first descent takes the rotations in discovery order, so
+    # the first len(rotations) + 1 matchings are maximal_sequence's chain
+    rng = random.Random(13_000)
+    instances = [
+        random_instance(n, n, 1.0, rng.choice((0.0, 0.1, 0.2)), seed=13_000 + k)
+        for k, n in enumerate(rng.randint(4, 14) for _ in range(300))
+    ]
+    instances += [drop_union(), drop_union(mixed=True), cyclic_shift(200)]
+    longer = 0
+    for k, inst in enumerate(instances):
+        chain = maximal_sequence(inst)
+        assert list(islice(enumerate_all(inst), len(chain))) == chain, k
+        longer += len(chain) > 3
+    assert longer > 30
+
+
+def test_enumeration_applies_and_undoes(monkeypatch):
+    # each matching comes from the one before it, never from a replay of
+    # its subset from the top matching; the order is the replay's
+    cases = []
+    for inst in (block_union(13_400, 50, 0.0), drop_union(mixed=True)):
+        first, poset = build_poset(inst)
+        replayed = [matching_of(first, poset.rotations, s) for s in closed_subsets(poset)]
+        cases.append((inst, replayed))
+
+    def replay(*args):
+        raise AssertionError("enumerate_all replayed a subset")
+
+    monkeypatch.setattr(lattice, "matching_of", replay)
+    for inst, replayed in cases:
+        assert len(replayed) > 300
+        assert list(enumerate_all(inst)) == replayed
+
+
+def test_enumeration_rejects_an_unexposed_rotation(i1):
+    # from the wrong top matching the one rotation is not exposed: an
+    # internal error, which carries the instance that reproduces it
+    first, poset = build_poset(i1)
+    walk = lattice._matchings(i1, MZ_I1, poset)
+    assert next(walk) == MZ_I1
+    with pytest.raises(RuntimeError, match="rotation 0 is not exposed") as caught:
+        next(walk)
+    assert parse_instance(str(caught.value).split("\n", 1)[1]) == i1

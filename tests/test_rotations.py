@@ -25,6 +25,8 @@ from superstable import (
 from superstable import rotations
 from superstable.oracle import brute_stable_set, has_blocking_edge
 from conftest import (
+    DROP_SEEDS,
+    TIER_DELETION_TEXT,
     block_union,
     cyclic_shift,
     man_optimal_of,
@@ -477,34 +479,6 @@ def test_chain_drops_tied_candidates(tie_prob, seed):
     assert set(enumerated) == set(stable) and len(enumerated) == len(stable)
 
 
-# strict men, heavily tied women.  Like random_instance(10, 10, 1.0, 0.2,
-# seed=505501404), it defeats a chain search in which a woman giving up a
-# tied rank blocks that rank alone: a man she ranks between it and her
-# partner then takes her while the tied men fall below her, and they
-# block the chain's matching ((m3, w5) and (m5, w5) here, (m2, w1) and
-# (m9, w1) there), which precedence_digraph then rejects
-TIER_DELETION_TEXT = """\
-men: m0 m1 m2 m3 m4 m5 m6 m7
-women: w0 w1 w2 w3 w4 w5 w6 w7
-m0: w7 w4 w6 w5 w2 w0 w3 w1
-m1: w4 w7 w5 w1 w3 w0 w2 w6
-m2: w4 w1 w2 w7 w3 w0 w5 w6
-m3: w2 w7 w5 w1 w3 w4 w0 w6
-m4: w5 w4 w2 w6 w0 w7 w3 w1
-m5: w6 w5 w4 w3 w7 w2 w0 w1
-m6: w3 w4 w1 w6 w2 w0 w7 w5
-m7: w0 w3 w7 w4 w2 w1 w5 w6
-w0: m3 (m0 m5) m2 m7 m4 m1 m6
-w1: m7 m3 (m1 m4) m5 m0 (m6 m2)
-w2: m5 m4 m3 (m0 m2 m6) m1 m7
-w3: m0 m5 (m1 m2 m6 m7) m3 m4
-w4: m1 (m6 m5 m4) m2 m7 m0 m3
-w5: m2 (m3 m5) m0 (m7 m6) m4 m1
-w6: m2 (m1 m7 m6) (m4 m0) m5 m3
-w7: m5 (m7 m1) (m3 m0) m2 m4 m6
-"""
-
-
 def _between_optima(inst, first, last):
     """Every super-stable matching, by brute force.  All of them match the
     same men as the optima, each to a partner between his two optimal ones,
@@ -580,11 +554,6 @@ def test_chain_strikes_stale_tied_women(inst, size):
     assert set(enumerated) == set(brute)
 
 
-# the first ten seeds at which random_instance(5, 5, 1.0, 0.3, seed) fires a
-# drop; each such block has one rotation and two super-stable matchings
-DROP_SEEDS = (4270, 15209, 117869, 137088, 141401, 193752, 222368, 227063, 238435, 264847)
-
-
 def test_drop_block_union():
     # every block of the union fires its drop, and the union's lattice is the
     # product of the blocks' lattices, checked against brute force per block
@@ -657,3 +626,34 @@ def test_maximal_sequence_property(inst):
         assert all(m in stable for m in chain)
         for above, below in zip(chain, chain[1:]):
             assert above != below and dominates(inst, above, below)
+
+
+def _reproducer(err):
+    """The instance that an internal error's message carries after its
+    first line."""
+    return parse_instance(str(err).split("\n", 1)[1])
+
+
+def test_chain_errors_carry_a_reproducer(monkeypatch):
+    inst = random_instance(8, 8, 1.0, 0.2, seed=13_510)
+    assert len(maximal_sequence(inst)) > 2
+
+    def exhausted(self, m):
+        raise RuntimeError("untried pool exhausted (internal error)")
+
+    monkeypatch.setattr(rotations._Chain, "_pool_top", exhausted)
+    for call in (maximal_sequence, build_poset):
+        with pytest.raises(RuntimeError, match="untried pool exhausted") as caught:
+            call(inst)
+        assert _reproducer(caught.value) == inst
+
+
+def test_arc_against_discovery_order_carries_a_reproducer():
+    # rotation 0 precedes rotation 1 here, yet either order replays: given
+    # in reverse, they yield an arc from position 1 to 0
+    inst = random_instance(4, 4, 1.0, 0.0, seed=273)
+    first, poset = build_poset(inst)
+    assert poset.arcs == {(0, 1)}
+    with pytest.raises(RuntimeError, match="precedence arc contradicts") as caught:
+        precedence_digraph(inst, first, poset.rotations[::-1])
+    assert _reproducer(caught.value) == inst
