@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, inf, lcm
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -55,43 +56,60 @@ _NO_ROW: Mapping[int, int] = MappingProxyType({})
 def _tier_sums(inst: Instance, point):
     """The point in index space, scaled to integers, with per-agent sums.
 
-    Returns (scale, rows, men, women, negative).  ``scale`` is the lcm of
-    the denominators of the nonzero entries and ``rows`` maps each man index
-    i with such an entry to a dict from woman index j to scale * x(m_i, w_j).
-    ``men`` (resp. ``women``) is a pair (prefix, off) of flat lists: agent a
-    owns slots off[a] .. off[a] + its tier count, and prefix[off[a] + r] is
-    scale times its mass on tiers 1..r, so off[a] + r - 1 holds the
-    strictly-better mass at rank r and off[a + 1] - 1 the vertex total.
-    ``negative`` lists, ascending, the men with a negative entry.
-
-    Each entry adds its value at its rank's slot and takes it off again at
-    the next agent's first slot, so one ``accumulate`` over each side's list
-    leaves every agent's prefix starting from 0.  The cost is O(|point|)
-    plus one slot per tier and per agent, in two lists per side.
+    The name-space front end of ``_index_sums``: it checks that every key
+    is an edge, takes each nonzero value as an int or a ``Fraction``, and
+    scales them by the lcm of their denominators.  Int values pass through
+    as they are when no value is fractional, as on a 0/1 point.
     """
-    midx, widx = inst._midx, inst._widx
-    man_rank, woman_rank = inst._man_rank, inst._woman_rank
-    entries = []
-    negative = set()
+    midx, widx, man_rank = inst._midx, inst._widx, inst._man_rank
+    entries, fractional = [], []
     for (m, w), value in point.items():
         i, j = midx.get(m), widx.get(w)
         if i is None or j is None or j not in man_rank[i]:
             raise ValueError(f"point key ({m!r}, {w!r}) is not an edge")
-        if value:
-            q = value if isinstance(value, (int, Fraction)) else Fraction(value)
-            entries.append((i, j, q))
-            if q < 0:
-                negative.add(i)
-    scale = lcm(*(q.denominator for _, _, q in entries))
+        if isinstance(value, int):
+            if value:
+                entries.append((i, j, value))
+        elif value:
+            q = value if isinstance(value, Fraction) else Fraction(value)
+            fractional.append((i, j, q))
+    scale = lcm(*(q.denominator for _, _, q in fractional))
+    if scale > 1:
+        entries = [(i, j, v * scale) for i, j, v in entries]
+    entries += [(i, j, q.numerator * (scale // q.denominator)) for i, j, q in fractional]
+    return _index_sums(inst, scale, entries)
+
+
+def _index_sums(inst: Instance, scale: int, entries):
+    """Per-agent sums of a point given in index space, in integers.
+
+    ``entries`` lists (i, j, v) for the nonzero entries, where v is the
+    integer scale * x(m_i, w_j) and each edge occurs at most once.  Returns
+    (scale, rows, men, women, negative).  ``rows`` maps each man index i
+    with an entry to a dict from woman index j to v.  ``men`` (resp.
+    ``women``) is a pair (prefix, off) of flat lists: agent a owns slots
+    off[a] .. off[a] + its tier count, and prefix[off[a] + r] is scale times
+    its mass on tiers 1..r, so off[a] + r - 1 holds the strictly-better mass
+    at rank r and off[a + 1] - 1 the vertex total.  ``negative`` lists,
+    ascending, the men with a negative entry.
+
+    Each entry adds its value at its rank's slot and takes it off again at
+    the next agent's first slot, so one ``accumulate`` over each side's list
+    leaves every agent's prefix starting from 0.  The cost is O(|entries|)
+    plus one slot per tier and per agent, in two lists per side.
+    """
+    man_rank, woman_rank = inst._man_rank, inst._woman_rank
     mo, wo = _offsets(inst._man_tiers), _offsets(inst._woman_tiers)
     pm, pw = [0] * (mo[-1] + 1), [0] * (wo[-1] + 1)
     rows: dict[int, dict[int, int]] = {}
-    for i, j, q in entries:
-        v = q.numerator * (scale // q.denominator)
+    negative = set()
+    for i, j, v in entries:
         row = rows.get(i)
         if row is None:
             rows[i] = row = {}
         row[j] = v
+        if v < 0:
+            negative.add(i)
         pm[mo[i] + man_rank[i][j]] += v
         pm[mo[i + 1]] -= v
         pw[wo[j] + woman_rank[j][i]] += v
@@ -133,13 +151,29 @@ def check_point(inst: Instance, point, model: str = SUPER) -> list[Violation]:
 
 def _violations(inst: Instance, sums, model: str) -> list[Violation]:
     """``check_point``'s report, from the output of ``_tier_sums``."""
+    scale = sums[0]
+    return [
+        Violation(tag, witness, Fraction(lhs, scale), relation)
+        for tag, witness, lhs, relation in _breaches(inst, sums, model)
+    ]
+
+
+def _feasible(inst: Instance, sums, model: str) -> bool:
+    """Whether the point behind ``sums`` meets every constraint; it stops at
+    the first breach and builds no ``Fraction``."""
+    return next(_breaches(inst, sums, model), None) is None
+
+
+def _breaches(inst: Instance, sums, model: str):
+    """The one feasibility test: yields (tag, witness, lhs, relation) for
+    each violated constraint in report order, with lhs in integers at the
+    point's scale."""
     scale, rows, men, women, negative = sums
-    report: list[Violation] = []
     vertex_tag = "1a" if model == SUPER else "3a"
     nonneg_tag = "1c" if model == SUPER else "3d"
     for name, total in zip(inst.men + inst.women, _totals(men) + _totals(women)):
         if total > scale:
-            report.append(Violation(vertex_tag, name, Fraction(total, scale), "<= 1"))
+            yield vertex_tag, name, total, "<= 1"
     # with nonnegative entries every term is nonnegative and the man's
     # strictly-better mass only grows along his list
     stop = inf if negative else scale
@@ -155,25 +189,20 @@ def _violations(inst: Instance, sums, model: str) -> list[Violation]:
             if model == SUPER:
                 lhs = pm[om + rm] + pw[ow] + row.get(j, 0)
                 if lhs < scale:
-                    edge = (inst.men[i], inst.women[j])
-                    report.append(Violation("1b", edge, Fraction(lhs, scale), ">= 1"))
+                    yield "1b", (inst.men[i], inst.women[j]), lhs, ">= 1"
             else:
                 # the strictly-better mass at both ends plus one end's tie tier
                 lhs = pm[om + rm + 1] + pw[ow]
                 if lhs < scale:
-                    edge = (inst.men[i], inst.women[j])
-                    report.append(Violation("3b", edge, Fraction(lhs, scale), ">= 1"))
+                    yield "3b", (inst.men[i], inst.women[j]), lhs, ">= 1"
                 lhs = pm[om + rm] + pw[ow + 1]
                 if lhs < scale:
-                    edge = (inst.men[i], inst.women[j])
-                    report.append(Violation("3c", edge, Fraction(lhs, scale), ">= 1"))
+                    yield "3c", (inst.men[i], inst.women[j]), lhs, ">= 1"
     for i in negative:
         row = rows[i]
         for j in inst._man_rank[i]:
             if row.get(j, 0) < 0:
-                edge = (inst.men[i], inst.women[j])
-                report.append(Violation(nonneg_tag, edge, Fraction(row[j], scale), ">= 0"))
-    return report
+                yield nonneg_tag, (inst.men[i], inst.women[j]), row[j], ">= 0"
 
 
 def self_dual(inst: Instance, point):
@@ -189,7 +218,7 @@ def self_dual(inst: Instance, point):
     walk per man, O(|E|) at worst, plus the size of the point.
     """
     sums = _tier_sums(inst, point)
-    if _violations(inst, sums, SUPER):
+    if not _feasible(inst, sums, SUPER):
         raise ValueError("point is not feasible for the super-stable system")
     scale, rows, men, women, _ = sums
     (pm, mo), (pw, wo) = men, women
@@ -229,9 +258,12 @@ def self_dual(inst: Instance, point):
 def vertices(inst: Instance, model: str = SUPER, cap: int = 8) -> list[dict]:
     """Every extreme point of the chosen system, by exact basis enumeration.
 
-    Selects |E| constraints to hold with equality, solves the square rational
-    system whenever it is uniquely solvable, and keeps the solutions that
-    ``check_point``'s kernel accepts, deduplicated.  ``cap`` guards the
+    Selects |E| constraints to hold with equality and solves the square
+    system whenever it is uniquely solvable.  The solve runs in integers:
+    fraction-free elimination, then back-substitution into numerators over
+    one common denominator, which ``check_point``'s kernel tests in index
+    space at that denominator.  Only the distinct solutions it accepts
+    become ``Fraction``s, sorted by coordinate tuple.  ``cap`` guards the
     combinatorial blow-up.
     """
     if model not in (SUPER, STRONG):
@@ -242,21 +274,16 @@ def vertices(inst: Instance, model: str = SUPER, cap: int = 8) -> list[dict]:
         raise ValueError(f"|E| = {nvars} exceeds cap = {cap}")
     if nvars == 0:
         return [{}]  # zero-dimensional system: the empty vector is its vertex
-    pool = sorted(set(_constraint_rows(inst, model)), reverse=True)
-    found: dict[tuple, dict] = {}
+    cells, rows = _constraint_rows(inst, model)
+    pool = sorted(set(rows), reverse=True)
+    found: set[tuple[int, tuple[int, ...]]] = set()
     pivots: list[tuple[int, list[int], int]] = []
 
     def solve() -> None:
-        x: list[Fraction] = [Fraction(0)] * nvars
-        for col, row, rhs in reversed(pivots):
-            acc = Fraction(rhs)
-            for c in range(nvars):
-                if c != col and row[c]:
-                    acc -= row[c] * x[c]
-            x[col] = acc / row[col]
-        point = {edge: value for edge, value in zip(edges, x) if value}
-        if not _violations(inst, _tier_sums(inst, point), model):
-            found.setdefault(tuple(x), point)
+        nums, den = _back_substitute(pivots, nvars)
+        entries = [(i, j, v) for (i, j), v in zip(cells, nums) if v]
+        if _feasible(inst, _index_sums(inst, den, entries), model):
+            found.add((den, tuple(nums)))
 
     def descend(start: int, need: int) -> None:
         if need == 0:
@@ -271,7 +298,39 @@ def vertices(inst: Instance, model: str = SUPER, cap: int = 8) -> list[dict]:
             pivots.pop()
 
     descend(0, nvars)
-    return [found[key] for key in sorted(found)]
+    solutions = sorted(tuple(Fraction(v, den) for v in nums) for den, nums in found)
+    return [{edge: value for edge, value in zip(edges, x) if value} for x in solutions]
+
+
+def _back_substitute(pivots, nvars: int) -> tuple[list[int], int]:
+    """The solution of the square system ``_eliminate`` leaves, in integers.
+
+    ``pivots`` holds ``nvars`` reduced rows, each zero in the pivot columns
+    of the rows before it.  Returns (nums, den) with x[c] = nums[c] / den,
+    den > 0 and gcd(den, *nums) == 1, so equal solutions compare equal.
+    Walking the rows from the last, x[col] = (rhs * den - row . nums) /
+    (row[col] * den): the pivot's share of that fraction in lowest terms
+    multiplies the common denominator and every numerator found so far.
+    """
+    nums = [0] * nvars
+    den = 1
+    for col, row, rhs in reversed(pivots):
+        # nums[col] is still 0, so the dot product skips the pivot itself
+        top = rhs * den - sum(map(mul, row, nums))
+        p = row[col]
+        g = gcd(top, p)
+        if p < 0:
+            g = -g
+        p //= g
+        if p != 1:
+            nums = [v * p for v in nums]
+            den *= p
+        nums[col] = top // g
+    g = gcd(den, *nums)
+    if g > 1:
+        nums = [v // g for v in nums]
+        den //= g
+    return nums, den
 
 
 def _eliminate(pivots, coeffs, rhs):
@@ -299,9 +358,12 @@ def _eliminate(pivots, coeffs, rhs):
 
 
 def _constraint_rows(inst: Instance, model: str):
-    """Rows (0/1 coefficient tuple, rhs) of the chosen system, read off the
-    rank maps, with edge (i, j) in its ``inst.edges`` column: incident sums
-    (at most 1), stability rows (at least 1), nonnegativity (at least 0)."""
+    """The columns and rows of the chosen system, read off the rank maps.
+
+    Returns (cells, rows): ``cells`` lists each column's edge (i, j) in
+    ``inst.edges`` order, and ``rows`` holds (0/1 coefficient tuple, rhs)
+    pairs: incident sums (at most 1), stability rows (at least 1),
+    nonnegativity (at least 0)."""
     man_rank, woman_rank = inst._man_rank, inst._woman_rank
     col: dict[tuple[int, int], int] = {}
     for i, ranks in enumerate(man_rank):
@@ -325,4 +387,4 @@ def _constraint_rows(inst: Instance, model: str):
         else:
             rows.append(row(strict + [col[i, v] for v, r in man_rank[i].items() if r == rm], 1))
             rows.append(row(strict + [col[u, j] for u, r in woman_rank[j].items() if r == rw], 1))
-    return rows + [row([c], 0) for c in range(len(col))]
+    return list(col), rows + [row([c], 0) for c in range(len(col))]

@@ -744,10 +744,11 @@ def reference_propose_and_delete(inst, side):
 
 
 # -- basis-enumeration reference for the vertex enumeration -------------------
-# This is the package's earlier ``vertices`` with its two helpers, which
-# evaluates every constraint row in ``Fraction``s for every basis and builds
-# its rows by agent name.  The differential test compares ``vertices`` with
-# it; it holds no import from ``superstable.polytope``.
+# This is the package's earlier ``vertices`` with its three helpers, which
+# solves every basis and evaluates every constraint row in ``Fraction``s and
+# builds its rows by agent name.  The differential tests compare ``vertices``
+# and its integer back-substitution with it; it holds no import from
+# ``superstable.polytope``.
 
 
 def reference_vertices(inst: Instance, model: str = SUPER, cap: int = 8) -> list[dict]:
@@ -771,13 +772,7 @@ def reference_vertices(inst: Instance, model: str = SUPER, cap: int = 8) -> list
     pivots: list[tuple[int, list[int], int]] = []
 
     def solve() -> None:
-        x: list[Fraction] = [Fraction(0)] * nvars
-        for col, row, rhs in reversed(pivots):
-            acc = Fraction(rhs)
-            for c in range(nvars):
-                if c != col and row[c]:
-                    acc -= row[c] * x[c]
-            x[col] = acc / row[col]
+        x = reference_back_substitute(pivots, nvars)
         for coeffs, rhs, sense in feasible_rows:
             value = sum(c * xi for c, xi in zip(coeffs, x) if c)
             if (sense == "le" and value > rhs) or (sense == "ge" and value < rhs):
@@ -800,6 +795,19 @@ def reference_vertices(inst: Instance, model: str = SUPER, cap: int = 8) -> list
 
     descend(0, nvars)
     return [found[key] for key in sorted(found)]
+
+
+def reference_back_substitute(pivots, nvars):
+    """The solution of the square triangular system the elimination leaves,
+    one ``Fraction`` per coordinate."""
+    x: list[Fraction] = [Fraction(0)] * nvars
+    for col, row, rhs in reversed(pivots):
+        acc = Fraction(rhs)
+        for c in range(nvars):
+            if c != col and row[c]:
+                acc -= row[c] * x[c]
+        x[col] = acc / row[col]
+    return x
 
 
 def _reference_eliminate(pivots, coeffs, rhs):

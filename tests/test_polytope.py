@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +17,13 @@ from superstable import (
     self_dual,
     vertices,
 )
+from superstable import polytope
 from superstable.oracle import brute_stable_set, enumerate_matchings, has_blocking_edge
 from conftest import (
     block_union,
     blocking_edges_by_name,
     check_point_by_name,
+    reference_back_substitute,
     reference_vertices,
     self_dual_by_name,
 )
@@ -135,6 +138,60 @@ def test_vertices_match_reference(i1, i2):
 def test_vertices_match_reference_corpus():
     for seed, inst in _small_instances(520, 4, 7, 58_000):
         _assert_same_vertices(inst, seed)
+
+
+def test_back_substitution_matches_the_fraction_reference():
+    # random integer square systems, the singular ones rejected by the
+    # elimination; both routes solve the same reduced rows
+    rng = random.Random(59_000)
+    solved = fractional = negative = 0
+    for _ in range(800):
+        n = rng.randint(1, 8)
+        pivots = []
+        for _ in range(n):
+            coeffs = [rng.randint(-3, 3) for _ in range(n)]
+            reduced = polytope._eliminate(pivots, coeffs, rng.randint(-3, 3))
+            if reduced is None:
+                break
+            pivots.append(reduced)
+        else:
+            nums, den = polytope._back_substitute(pivots, n)
+            assert den > 0 and gcd(den, *nums) == 1, pivots
+            assert [Fraction(v, den) for v in nums] == reference_back_substitute(pivots, n)
+            solved += 1
+            fractional += den > 1
+            negative += any(v < 0 for v in nums)
+    assert solved >= 300 and fractional >= 100 and negative >= 100, (solved, fractional, negative)
+
+
+def test_vertices_builds_no_fraction_for_a_rejected_basis(monkeypatch, i1):
+    # every basis is solved and checked in integers: the only Fractions
+    # built are the coordinates of the vertices returned
+    tied = random_instance(3, 3, 0.7, 0.4, seed=8)
+    assert len(tied.edges) == 6 and any(len(t) > 1 for ts in tied.prefs.values() for t in ts)
+    cases = [(inst, m, vertices(inst, m)) for inst in (i1, tied) for m in ("super", "strong")]
+    built, verdicts = [], []
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    feasible = polytope._feasible
+
+    def spy(*args):
+        verdicts.append(feasible(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(polytope, "Fraction", CountedFraction)
+    monkeypatch.setattr(polytope, "_feasible", spy)
+    for inst, model, expected in cases:
+        built.clear()
+        verdicts.clear()
+        got = vertices(inst, model)
+        assert got == expected and got, model
+        assert False in verdicts, model
+        assert len(built) <= len(inst.edges) * len(got), (model, len(built))
 
 
 def test_vertices_cap():

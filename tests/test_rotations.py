@@ -29,6 +29,7 @@ from conftest import (
     TIER_DELETION_TEXT,
     block_union,
     cyclic_shift,
+    drop_union,
     man_optimal_of,
     merged_tiers,
     oracle_chain,
@@ -238,14 +239,20 @@ def test_chain_at_scale_sweep():
 
 def test_tied_chain_at_scale_under_tie_breaking():
     # a super-stable matching is stable under every strict tie-breaking, so
-    # each matching on the chain of a large tied instance must survive them
+    # each matching on the chain of a large tied instance must survive them.
+    # The merged-tier chains are short (3 rotations); the drop-block unions
+    # carry 13 and 200
+    inputs = []
     for k in range(2):
         inst, kept = merged_tiers(47_000 + k, 100 + 20 * k, 60)
         assert kept > 50, k
+        inputs.append((inst, 3))
+    inputs += [(drop_union(1, mixed=True), 13), (drop_union(20), 200)]
+    for k, (inst, rotations) in enumerate(inputs):
         chain = maximal_sequence(inst)
         assert chain[0] == optimal_super_stable(inst, MEN), k
         assert chain[-1] == optimal_super_stable(inst, WOMEN), k
-        assert len(chain) > 2, k
+        assert len(chain) == rotations + 1, k
         rng = random.Random(k)
         for _ in range(3):
             prefs = {
