@@ -13,7 +13,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .instance import Instance
-from .stability import STRONG, SUPER
+from .stability import STRONG, SUPER, _blockers
 
 
 class Violation(NamedTuple):
@@ -66,7 +66,7 @@ def _tier_sums(inst: Instance, point):
     for (m, w), value in point.items():
         i, j = midx.get(m), widx.get(w)
         if i is None or j is None or j not in man_rank[i]:
-            raise ValueError(f"point key ({m!r}, {w!r}) is not an edge")
+            raise _not_an_edge(m, w)
         if isinstance(value, int):
             if value:
                 entries.append((i, j, value))
@@ -77,17 +77,18 @@ def _tier_sums(inst: Instance, point):
     if scale > 1:
         entries = [(i, j, v * scale) for i, j, v in entries]
     entries += [(i, j, q.numerator * (scale // q.denominator)) for i, j, q in fractional]
-    return _index_sums(inst, scale, entries)
+    return _index_sums(inst, _offsets(inst), scale, entries)
 
 
-def _index_sums(inst: Instance, scale: int, entries):
+def _index_sums(inst: Instance, offsets, scale: int, entries):
     """Per-agent sums of a point given in index space, in integers.
 
-    ``entries`` lists (i, j, v) for the nonzero entries, where v is the
-    integer scale * x(m_i, w_j) and each edge occurs at most once.  Returns
-    (scale, rows, men, women, negative).  ``rows`` maps each man index i
-    with an entry to a dict from woman index j to v.  ``men`` (resp.
-    ``women``) is a pair (prefix, off) of flat lists: agent a owns slots
+    ``offsets`` is ``_offsets(inst)``, which a caller that sums many points
+    of one instance computes once.  ``entries`` lists (i, j, v) for the
+    nonzero entries, where v is the integer scale * x(m_i, w_j) and each
+    edge occurs at most once.  Returns (scale, rows, men, women, negative).
+    ``rows`` maps each man index i with an entry to a dict from woman index
+    j to v.  ``men`` (resp. ``women``) is a pair (prefix, off) of flat lists: agent a owns slots
     off[a] .. off[a] + its tier count, and prefix[off[a] + r] is scale times
     its mass on tiers 1..r, so off[a] + r - 1 holds the strictly-better mass
     at rank r and off[a + 1] - 1 the vertex total.  ``negative`` lists,
@@ -99,7 +100,7 @@ def _index_sums(inst: Instance, scale: int, entries):
     plus one slot per tier and per agent, in two lists per side.
     """
     man_rank, woman_rank = inst._man_rank, inst._woman_rank
-    mo, wo = _offsets(inst._man_tiers), _offsets(inst._woman_tiers)
+    mo, wo = offsets
     pm, pw = [0] * (mo[-1] + 1), [0] * (wo[-1] + 1)
     rows: dict[int, dict[int, int]] = {}
     negative = set()
@@ -117,10 +118,13 @@ def _index_sums(inst: Instance, scale: int, entries):
     return scale, rows, (list(accumulate(pm)), mo), (list(accumulate(pw)), wo), sorted(negative)
 
 
-def _offsets(tiers) -> list[int]:
-    """Each agent's first slot in a flat prefix list, and the end: an agent
-    with t tiers owns t + 1 slots."""
-    return list(accumulate(map((1).__add__, map(len, tiers)), initial=0))
+def _offsets(inst: Instance) -> tuple[list[int], list[int]]:
+    """Each man's and each woman's first slot in a flat prefix list, and the
+    end: an agent with t tiers owns t + 1 slots."""
+    return tuple(
+        list(accumulate(map((1).__add__, map(len, tiers)), initial=0))
+        for tiers in (inst._man_tiers, inst._woman_tiers)
+    )
 
 
 def _totals(side) -> list[int]:
@@ -138,15 +142,64 @@ def check_point(inst: Instance, point, model: str = SUPER) -> list[Violation]:
     that count each endpoint's whole tie tier (3b, 3c).  Violations come in
     that order, by vertex (men first) and then in ``inst.edges`` order.
 
-    Sums come from the point's nonzero entries in integers scaled by their
-    common denominator, so every edge constraint is a few integer lookups.
-    With no negative entry, a man's edges past the point where his
-    strictly-better mass reaches 1 hold, so his list is walked only that
-    far: a prefix walk per man, O(|E|) at worst, plus the size of the point.
+    A point whose nonzero values all equal 1 on edges that share no agent
+    is the incidence vector x_M of a matching M.  It meets (1a) and (1c),
+    and (1b) at an edge e reads 0 exactly when e blocks M in the super
+    sense (the polyhedral characterisation of super-stability); (3b)
+    reads 0 exactly when e blocks with its man strictly better off, (3c)
+    with its woman, and every other left-hand side is at least 1.  Such a
+    point is reported from ``stability``'s blocking walk, a prefix walk per
+    man, with lhs 0 at each breach.
+
+    Any other point goes through the prefix-sum kernel: sums come from the
+    point's nonzero entries in integers scaled by their common denominator,
+    so every edge constraint is a few integer lookups.  With no negative
+    entry, a man's edges past the point where his strictly-better mass
+    reaches 1 hold, so his list is walked only that far: a prefix walk per
+    man, O(|E|) at worst, plus the size of the point.
     """
     if model not in (SUPER, STRONG):
         raise ValueError(f"unknown model {model!r}")
-    return _violations(inst, _tier_sums(inst, point), model)
+    mates = _matching_mates(inst, point)
+    if mates is None:
+        return _violations(inst, _tier_sums(inst, point), model)
+    men, women, zero = inst.men, inst.women, Fraction(0)
+    report = []
+    for i, j, he_gains, she_gains in _blockers(inst, *mates):
+        edge = (men[i], women[j])
+        if model == SUPER:
+            report.append(Violation("1b", edge, zero, ">= 1"))
+            continue
+        if he_gains:
+            report.append(Violation("3b", edge, zero, ">= 1"))
+        if she_gains:
+            report.append(Violation("3c", edge, zero, ">= 1"))
+    return report
+
+
+def _matching_mates(inst: Instance, point):
+    """(mate_of_man, mate_of_woman), each agent's partner index or -1, when
+    ``point`` is a matching's incidence vector; None otherwise.
+
+    It checks each key it reads as ``_tier_sums`` does and stops at the
+    first value that is neither 0 nor 1 or the first agent met twice, so a
+    non-edge key after that point is ``_tier_sums``' to report.
+    """
+    midx, widx, man_rank = inst._midx, inst._widx, inst._man_rank
+    mate_of_man, mate_of_woman = [-1] * len(inst.men), [-1] * len(inst.women)
+    for (m, w), value in point.items():
+        i, j = midx.get(m), widx.get(w)
+        if i is None or j is None or j not in man_rank[i]:
+            raise _not_an_edge(m, w)
+        if value:
+            if value != 1 or mate_of_man[i] >= 0 or mate_of_woman[j] >= 0:
+                return None
+            mate_of_man[i], mate_of_woman[j] = j, i
+    return mate_of_man, mate_of_woman
+
+
+def _not_an_edge(m, w) -> ValueError:
+    return ValueError(f"point key ({m!r}, {w!r}) is not an edge")
 
 
 def _violations(inst: Instance, sums, model: str) -> list[Violation]:
@@ -276,13 +329,14 @@ def vertices(inst: Instance, model: str = SUPER, cap: int = 8) -> list[dict]:
         return [{}]  # zero-dimensional system: the empty vector is its vertex
     cells, rows = _constraint_rows(inst, model)
     pool = sorted(set(rows), reverse=True)
+    offsets = _offsets(inst)
     found: set[tuple[int, tuple[int, ...]]] = set()
     pivots: list[tuple[int, list[int], int]] = []
 
     def solve() -> None:
         nums, den = _back_substitute(pivots, nvars)
         entries = [(i, j, v) for (i, j), v in zip(cells, nums) if v]
-        if _feasible(inst, _index_sums(inst, den, entries), model):
+        if _feasible(inst, _index_sums(inst, offsets, den, entries), model):
             found.add((den, tuple(nums)))
 
     def descend(start: int, need: int) -> None:

@@ -77,8 +77,22 @@ def blocking_edges(inst: Instance, matching, criterion: str = SUPER) -> frozense
 def _blocking(inst: Instance, indexed, strong: bool = False) -> frozenset:
     """``blocking_edges`` on an ``_indexed`` matching."""
     _, mate_of_man, mate_of_woman = indexed
+    men, women = inst.men, inst.women
+    return frozenset(
+        (men[i], women[j])
+        for i, j, he_gains, she_gains in _blockers(inst, mate_of_man, mate_of_woman)
+        # a strong blocker needs a strict gain at one end
+        if not strong or he_gains or she_gains
+    )
+
+
+def _blockers(inst: Instance, mate_of_man, mate_of_woman):
+    """The one blocking walk: yields (i, j, he_gains, she_gains) for each
+    edge that blocks the matching in the super sense (neither end worse
+    off), in ``inst.edges`` order; each flag says whether that end gains
+    strictly.  A blocker never leaves its man worse off, so each man's list
+    is walked only down to his partner's tier."""
     woman_rank = inst._woman_rank
-    blockers = []
     for i, ranks in enumerate(inst._man_rank):
         held = mate_of_man[i]
         cutoff = ranks[held] if held >= 0 else inf
@@ -88,13 +102,12 @@ def _blocking(inst: Instance, indexed, strong: bool = False) -> frozenset:
             if j == held:
                 continue
             rival = mate_of_woman[j]
-            if rival >= 0:
-                r_new, r_old = woman_rank[j][i], woman_rank[j][rival]
-                # a man who only ties needs her strict gain under strong
-                if r_new > r_old or (strong and r_new == r_old and r == cutoff):
-                    continue
-            blockers.append((inst.men[i], inst.women[j]))
-    return frozenset(blockers)
+            if rival < 0:
+                yield i, j, r < cutoff, True
+                continue
+            r_new, r_old = woman_rank[j][i], woman_rank[j][rival]
+            if r_new <= r_old:
+                yield i, j, r < cutoff, r_new < r_old
 
 
 def optimal_super_stable(inst: Instance, side: str = MEN):

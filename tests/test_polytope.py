@@ -10,6 +10,7 @@ from superstable import (
     blocking_edges,
     check_point,
     convex_combination,
+    enumerate_all,
     incidence_vector,
     maximal_sequence,
     parse_edge_values,
@@ -23,6 +24,7 @@ from conftest import (
     block_union,
     blocking_edges_by_name,
     check_point_by_name,
+    drop_union,
     reference_back_substitute,
     reference_vertices,
     self_dual_by_name,
@@ -457,3 +459,99 @@ def test_blocking_and_integral_characterization_property(inst):
             stable = not has_blocking_edge(inst, matching, criterion)
             assert (not blocking_edges(inst, matching, criterion)) == stable, criterion
             assert (check_point(inst, x, criterion) == []) == stable, criterion
+
+
+def prefix_kernel(inst, x, model):
+    """``check_point``'s report by the integer prefix sums alone."""
+    return polytope._violations(inst, polytope._tier_sums(inst, x), model)
+
+
+def test_matching_route_matches_the_prefix_kernel():
+    # arbitrary matchings, most of them unstable, on small tied instances
+    rng = random.Random(59_000)
+    points = breached = 0
+    for k in range(3_000):
+        n = rng.randint(2, 8)
+        inst = random_instance(n, n, rng.choice((0.4, 0.7, 1.0)), rng.choice((0.0, 0.3, 0.6)),
+                               seed=59_000 + k)
+        matching = random_matching(inst, rng)
+        one = rng.choice((1, Fraction(1)))
+        x = dict.fromkeys(matching, one)
+        for model in ("super", "strong"):
+            got = check_point(inst, x, model)
+            assert got == prefix_kernel(inst, x, model), (k, model, sorted(matching))
+            assert all(type(v.lhs) is Fraction for v in got), (k, model)
+            points += 1
+            breached += bool(got)
+    assert points == 6_000 and breached >= points * 3 // 4, (points, breached)
+
+
+def test_matching_route_matches_the_prefix_kernel_at_scale():
+    # n = 1,000: super-stable matchings off the lattice, then each with two
+    # men of one block trading partners
+    inst = drop_union(20)
+    assert len(inst.men) == 1_000
+    rng = random.Random(59_100)
+    listed = list(enumerate_all(inst, 12))
+    swapped = []
+    for matching in listed:
+        pairs = dict(matching)
+        while True:
+            (m1, w1), (m2, w2) = rng.sample(sorted(matching), 2)
+            if inst.is_edge(m1, w2) and inst.is_edge(m2, w1):
+                break
+        pairs[m1], pairs[m2] = w2, w1
+        swapped.append(frozenset(pairs.items()))
+    breached = 0
+    for matching in listed + swapped:
+        x = incidence_vector(matching)
+        for model in ("super", "strong"):
+            got = check_point(inst, x, model)
+            assert got == prefix_kernel(inst, x, model), model
+            breached += bool(got)
+    assert breached >= len(swapped), breached
+
+
+def test_check_point_reads_a_matching_off_the_blocking_walk(monkeypatch, i1, i3):
+    calls = []
+    tier_sums = polytope._tier_sums
+
+    def spy(*args):
+        calls.append(args)
+        return tier_sums(*args)
+
+    monkeypatch.setattr(polytope, "_tier_sums", spy)
+    # a matching's incidence vector, with int or Fraction ones (the CLI's
+    # parse_edge_values gives the latter) and with or without explicit zeros
+    for inst in (i1, i3):
+        for matching in enumerate_matchings(inst, max_edges=8):
+            rest = [e for e in inst.edges if e not in matching]
+            for one in (1, Fraction(1)):
+                for zero in (None, 0, Fraction(0)):
+                    x = dict.fromkeys(matching, one)
+                    if zero is not None:
+                        x.update(dict.fromkeys(rest, zero))
+                    for model in ("super", "strong"):
+                        assert check_point(inst, x, model) == check_point_by_name(inst, x, model)
+    assert calls == []
+    # every other point takes the prefix-sum kernel
+    others = [
+        {("a", "x"): Fraction(1, 2), ("b", "y"): 1},
+        {("a", "x"): 1, ("b", "x"): Fraction(-1, 4)},
+        {("a", "x"): 1, ("a", "y"): 1},  # not a matching: a 1a breach
+    ]
+    for x in others:
+        for model in ("super", "strong"):
+            calls.clear()
+            report = check_point(i1, x, model)
+            assert len(calls) == 1, (x, model)
+            assert report == check_point_by_name(i1, x, model), (x, model)
+    assert "1a" in {v.constraint for v in check_point(i1, others[2], "super")}
+    # a non-edge key gives the same error before and after a fractional value
+    for x in (
+        {("a", "a"): 1, ("a", "x"): Fraction(1, 2)},
+        {("a", "x"): Fraction(1, 2), ("a", "a"): 1},
+        {("a", "x"): 1, ("a", "a"): 1},
+    ):
+        with pytest.raises(ValueError, match=r"^point key \('a', 'a'\) is not an edge$"):
+            check_point(i1, x, "super")
