@@ -60,51 +60,11 @@ def reduce_for_edge(inst: Instance, edge) -> Instance:
     return Instance(men, women, prefs)
 
 
-def _edge_optima(inst: Instance):
-    """The irreducible family read off the rotation poset, or None when
-    infeasible.
-
-    Returns ``(matchings, covers, owner)``.  Element 0 is the top matching;
-    element r + 1 is the matching after the down-closure of rotation r.
-    ``covers`` holds the pairs (i, k) where element k covers element i: the
-    top matching under each rotation without predecessors, and the
-    transitive reduction of the arcs.  ``owner`` maps each edge of some
-    super-stable matching to the element that is the man-optimal matching
-    through it: the top matching's edges to 0, the edges a rotation adds to
-    that rotation's element.
-    """
-    built = build_poset(inst)
-    if built is None:
-        return None
-    first, poset = built
-    matchings = [first]
-    covers: list[tuple[int, int]] = []
-    owner = dict.fromkeys(first, 0)
-    closures: list[int] = []  # per rotation, its down-closure as a bitset of positions
-    # discovery order is a linear extension: predecessors come first
-    for r, (rot, preds) in enumerate(zip(poset.rotations, poset.predecessors())):
-        closure = 1 << r
-        beneath = 0  # the rotations strictly below some direct predecessor
-        for p in preds:
-            closure |= closures[p]
-            beneath |= closures[p] ^ (1 << p)
-        closures.append(closure)
-        # a direct predecessor below no other one is covered; some always
-        # is, so only a rotation without predecessors covers the top
-        covers.extend((p + 1, r + 1) for p in preds if not beneath >> p & 1)
-        if not preds:
-            covers.append((0, r + 1))
-        members = [i for i in range(r + 1) if closure >> i & 1]
-        matchings.append(matching_of(first, poset.rotations, members))
-        owner.update(dict.fromkeys(rot.added, r + 1))
-    return matchings, covers, owner
-
-
 def optimal_with_edge(inst: Instance, edge):
     """Man-optimal super-stable matching containing ``edge``, or None.
 
-    Read off the rotation poset: the top matching if it holds the edge, else
-    the one after the down-closure of the rotation that adds it, if any.
+    Read off the irreducible family: the matching of the element whose
+    witnesses hold the edge, which replays only that element's rotations.
     Each call builds the whole poset (both solves, the chain and the
     precedence digraph); to query many edges, read the witnesses of
     ``irreducible_poset`` instead.
@@ -112,12 +72,11 @@ def optimal_with_edge(inst: Instance, edge):
     m0, w0 = edge
     if not inst.is_edge(m0, w0):
         raise ValueError(f"({m0!r}, {w0!r}) is not an edge")
-    found = _edge_optima(inst)
-    if found is None:
+    try:
+        family = irreducible_poset(inst)
+    except NoSuperStableMatching:
         return None
-    matchings, _, owner = found
-    element = owner.get((m0, w0))
-    return None if element is None else matchings[element]
+    return next((e.matching for e in family.elements if (m0, w0) in e.witnesses), None)
 
 
 def p_set(inst: Instance, matching) -> frozenset:
@@ -149,72 +108,124 @@ def _prefix_pairs(inst: Instance, mate_of_man) -> frozenset:
     return frozenset(pairs)
 
 
+@dataclass(frozen=True, eq=False)
+class _Family:
+    """What the elements of one irreducible family share, indexed by element
+    position: the rotation each element eliminates last (None for the top
+    matching) and the elements it covers."""
+
+    inst: Instance
+    first: frozenset
+    rotations: tuple
+    rotation: tuple
+    below: tuple
+
+    def down_set(self, k: int) -> set[int]:
+        """The positions of the elements weakly below element k."""
+        seen = {k}
+        stack = [k]
+        while stack:
+            for i in self.below[stack.pop()]:
+                if i not in seen:
+                    seen.add(i)
+                    stack.append(i)
+        return seen
+
+
 @dataclass(frozen=True)
 class IrreducibleElement:
-    matching: frozenset
+    """One edge-minimal matching: the edges it is the optimum through, and
+    its position in its family.  ``matching`` and ``pairs`` are derived on
+    each read, from the top matching and the rotations of the down-set."""
+
     witnesses: tuple
-    pairs: frozenset  # the P-set
+    _family: _Family
+    _position: int
+
+    @property
+    def matching(self) -> frozenset:
+        family = self._family
+        members = {family.rotation[i] for i in family.down_set(self._position)} - {None}
+        return matching_of(family.first, family.rotations, members) if members else family.first
+
+    @property
+    def pairs(self) -> frozenset:
+        """The P-set; every element is super-stable, so ``p_set``'s check is skipped."""
+        inst = self._family.inst
+        return _prefix_pairs(inst, _indexed(inst, self.matching)[1])
 
 
 @dataclass(frozen=True)
 class IrreduciblePoset:
     """Distinct edge-minimal matchings ordered by strict P-set containment.
 
-    The order is held as its Hasse diagram, ``_covers``: the sorted pairs
-    (i, j) where element j covers element i.  ``order`` is its transitive
-    closure, derived on each read.
+    The order is held as its Hasse diagram, each element's lower covers in
+    the shared family record.  ``order`` is its transitive closure, derived
+    on each read.
     """
 
     elements: tuple[IrreducibleElement, ...]
-    _covers: tuple
+    _family: _Family
 
     @property
     def order(self) -> frozenset:
         """(i, j) with elements[i].pairs a proper subset of elements[j].pairs."""
-        above: dict[int, list[int]] = {}
-        for i, j in self._covers:
-            above.setdefault(i, []).append(j)
-        order = set()
-        for i in range(len(self.elements)):
-            stack = [i]
-            while stack:
-                for j in above.get(stack.pop(), ()):
-                    if (i, j) not in order:
-                        order.add((i, j))
-                        stack.append(j)
-        return frozenset(order)
+        family = self._family
+        return frozenset(
+            (i, j) for j in range(len(self.elements)) for i in family.down_set(j) if i != j
+        )
 
     def covers(self) -> list[tuple[int, int]]:
-        """The Hasse diagram of the containment order."""
-        return list(self._covers)
+        """The Hasse diagram of the containment order, sorted."""
+        return sorted((i, j) for j, lower in enumerate(self._family.below) for i in lower)
 
 
 def irreducible_poset(inst: Instance) -> IrreduciblePoset:
     """One element per distinct optimal_with_edge matching, all witnesses kept.
 
-    Elements (the top matching and one per rotation) follow their first
-    witness in ``inst.edges``.  By Birkhoff's representation theorem their
-    P-set containment order is the rotation order, so its Hasse diagram is
-    read off the rotation arcs: the top matching lies below each rotation
-    without predecessors, and the transitive reduction of the arcs gives the
-    other covers.  Every element is super-stable, so its P-set skips
-    ``p_set``'s check.  Raises NoSuperStableMatching when infeasible.
+    Element k's edges are those it is the man-optimal matching through: the
+    top matching's own edges, or the edges its rotation adds, which no
+    matching without that rotation's down-closure holds.  Elements follow
+    their first witness in ``inst.edges``.  By Birkhoff's representation
+    theorem their P-set containment order is the rotation order, so its
+    Hasse diagram is read off the rotation arcs: the top matching lies below
+    each rotation without predecessors, and the transitive reduction of the
+    arcs gives the other covers.  Nothing is replayed here; an element's
+    matching and P-set are derived when read.  Raises NoSuperStableMatching
+    when infeasible.
     """
-    found = _edge_optima(inst)
-    if found is None:
+    built = build_poset(inst)
+    if built is None:
         raise NoSuperStableMatching("instance admits no super-stable matching")
-    matchings, covers, owner = found
-    witnesses: dict[int, list[tuple[str, str]]] = {}
+    first, poset = built
+    owner = dict.fromkeys(first)  # edge -> its element's rotation, None for the top
+    lower: dict = {}  # rotation -> the rotations it covers, None for the top
+    closures: list[int] = []  # per rotation, its down-closure as a bitset of positions
+    # discovery order is a linear extension: predecessors come first
+    for r, (rot, preds) in enumerate(zip(poset.rotations, poset.predecessors())):
+        closure = 1 << r
+        beneath = 0  # the rotations strictly below some direct predecessor
+        for p in preds:
+            closure |= closures[p]
+            beneath |= closures[p] ^ (1 << p)
+        closures.append(closure)
+        # a direct predecessor below no other one is covered; some always
+        # is, so only a rotation without predecessors covers the top
+        lower[r] = [p for p in preds if not beneath >> p & 1] or [None]
+        owner.update(dict.fromkeys(rot.added, r))
+    witnesses: dict = {}
     for edge in inst.edges:
         if edge in owner:
             witnesses.setdefault(owner[edge], []).append(edge)
-    position = {element: i for i, element in enumerate(witnesses)}
-    elements = tuple(
-        IrreducibleElement(
-            matchings[k], tuple(wit), _prefix_pairs(inst, _indexed(inst, matchings[k])[1])
-        )
-        for k, wit in witnesses.items()
-    )
     # a rotation exists only below a nonempty top matching, which has
     # witnesses, and each rotation's added pairs witness its element
-    return IrreduciblePoset(elements, tuple(sorted((position[i], position[k]) for i, k in covers)))
+    position = {key: i for i, key in enumerate(witnesses)}
+    family = _Family(
+        inst,
+        first,
+        poset.rotations,
+        tuple(witnesses),
+        tuple(tuple(position[c] for c in lower.get(key, ())) for key in witnesses),
+    )
+    elements = (IrreducibleElement(tuple(w), family, i) for i, w in enumerate(witnesses.values()))
+    return IrreduciblePoset(tuple(elements), family)

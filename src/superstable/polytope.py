@@ -365,6 +365,10 @@ def _back_substitute(pivots, nvars: int) -> tuple[list[int], int]:
     Walking the rows from the last, x[col] = (rhs * den - row . nums) /
     (row[col] * den): the pivot's share of that fraction in lowest terms
     multiplies the common denominator and every numerator found so far.
+    No final reduction is needed: each step keeps gcd(den, *nums) == 1 and
+    den > 0.  The share s = p // g is positive and coprime to the new
+    numerator top // g, so gcd(den * s, *(v * s for v in nums), top // g)
+    = gcd(s * gcd(den, *nums), top // g) = gcd(s, top // g) = 1.
     """
     nums = [0] * nvars
     den = 1
@@ -380,10 +384,6 @@ def _back_substitute(pivots, nvars: int) -> tuple[list[int], int]:
             nums = [v * p for v in nums]
             den *= p
         nums[col] = top // g
-    g = gcd(den, *nums)
-    if g > 1:
-        nums = [v // g for v in nums]
-        den //= g
     return nums, den
 
 
